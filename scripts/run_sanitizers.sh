@@ -40,11 +40,12 @@ fi
 # layer, the observability layer (sharded counters, per-thread trace
 # buffers), the board fleet (failover + health tracking) and the campaign
 # service (worker threads + socket reactor + fair scheduler — the most
-# thread-shaped code in the repo) and the countermeasure cracker (pooled
-# candidate scans + multi-threaded crack campaigns) — where a
+# thread-shaped code in the repo), the countermeasure cracker (pooled
+# candidate scans + multi-threaded crack campaigns) and the device's
+# parent-image cache (concurrent promotion and eviction) — where a
 # sanitizer finding is most likely and the runs are cheap enough for CI.
 # The full run takes the whole tier-1 label.
-smoke_filter='^(ThreadPool|Parallel|ProbeCache|Retry|FaultyOracle|NoiseProfile|ProbeCacheGuard|AttackCheckpoint|ObsMode|Metrics|Trace|Orchestrator|ServiceProtocol|FairScheduler|JobStore|ServiceSocket|ServiceRestart|ServiceMetricsParity|ServiceDeadline|SimdDispatch|SimdLaneVec|SimdTranspose|FlatMap|ProbeCacheFlatMap|AdaptiveController|StaticController|AdaptivePipeline|AdaptiveCampaign|ControllerConfig|FleetOracleTest|FleetCampaign|DecoyHypothesis|Cracker|CrackCampaign|CrackService)'
+smoke_filter='^(ThreadPool|Parallel|ProbeCache|Retry|FaultyOracle|NoiseProfile|ProbeCacheGuard|AttackCheckpoint|ObsMode|Metrics|Trace|Orchestrator|ServiceProtocol|FairScheduler|JobStore|ServiceSocket|ServiceRestart|ServiceMetricsParity|ServiceDeadline|SimdDispatch|SimdLaneVec|SimdTranspose|FlatMap|ProbeCacheFlatMap|AdaptiveController|StaticController|AdaptivePipeline|AdaptiveCampaign|ControllerConfig|FleetOracleTest|FleetCampaign|DecoyHypothesis|Cracker|CrackCampaign|CrackService|ParentCache)'
 
 status=0
 for san in "${sanitizers[@]}"; do
@@ -54,7 +55,7 @@ for san in "${sanitizers[@]}"; do
   if [ "$smoke" -eq 1 ]; then
     cmake --build "$dir" -j --target test_runtime test_faultsim test_obs \
       test_orchestrator test_service test_simd test_probe_controller test_fleet \
-      test_cracker
+      test_cracker test_batch_sim
   else
     cmake --build "$dir" -j
   fi

@@ -161,6 +161,10 @@ TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::Th
     out.corruption_detections = res.corruption_detections;
     out.transient_rejections = res.transient_rejections;
   }
+  const fpga::ConfigureStats work = sys.snapshot->stats();
+  out.sites_decoded = work.sites_decoded;
+  out.parent_promotions = work.parent_promotions;
+  out.parent_hits = work.parent_hits;
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   span.arg("oracle_runs", out.oracle_runs);
@@ -198,6 +202,9 @@ void CampaignReport::accumulate(const TrialOutcome& t) {
   total_vote_runs += t.vote_runs;
   total_migration_runs += t.migration_runs;
   total_corruption_detections += t.corruption_detections;
+  total_sites_decoded += t.sites_decoded;
+  total_parent_promotions += t.parent_promotions;
+  total_parent_hits += t.parent_hits;
   for (const auto& [phase, runs] : t.phase_runs) {
     bool found = false;
     for (auto& [name, total] : phase_run_totals) {
@@ -221,7 +228,10 @@ void CampaignReport::write_metrics(JsonWriter& w) const {
       .field("migration_runs", total_migration_runs)
       .field("corruption_detections", total_corruption_detections)
       .field("resumed_trials", resumed_trials)
-      .field("scan_index_cache_entries", scan_index_cache_entries);
+      .field("scan_index_cache_entries", scan_index_cache_entries)
+      .field("sites_decoded", total_sites_decoded)
+      .field("parent_promotions", total_parent_promotions)
+      .field("parent_hits", total_parent_hits);
   w.key("phase_oracle_runs").begin_object();
   for (const auto& [phase, runs] : phase_run_totals) w.field(phase, runs);
   w.end_object();

@@ -145,6 +145,13 @@ struct TrialOutcome {
   size_t migration_runs = 0;
   size_t corruption_detections = 0;
   size_t transient_rejections = 0;
+  /// Device work through the victim's snapshot (fpga::ConfigureStats):
+  /// LUT sites decoded, parent images promoted and parent-cache hits.
+  /// Informational — excluded from fingerprint(); with a pool the parent a
+  /// chunk finds, and so these counts, may depend on scheduling.
+  size_t sites_decoded = 0;
+  size_t parent_promotions = 0;
+  size_t parent_hits = 0;
   /// Crack-kind trials only (kind == "crack"); all-zero for attack trials.
   /// adaptive_probes is the physical configuration count the cracker needed
   /// to reach its verdict — the number the static C(n - 32, 32) bound
@@ -175,6 +182,9 @@ struct CampaignReport {
   size_t total_vote_runs = 0;
   size_t total_migration_runs = 0;
   size_t total_corruption_detections = 0;
+  size_t total_sites_decoded = 0;
+  size_t total_parent_promotions = 0;
+  size_t total_parent_hits = 0;
   /// Crack-kind aggregates (zero for attack campaigns).
   size_t crack_trials = 0;
   size_t crack_unique_verdicts = 0;

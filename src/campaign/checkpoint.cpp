@@ -71,6 +71,9 @@ void write_trial(JsonWriter& w, const TrialOutcome& t) {
       .field("migration_runs", t.migration_runs)
       .field("corruption_detections", t.corruption_detections)
       .field("transient_rejections", t.transient_rejections)
+      .field("sites_decoded", t.sites_decoded)
+      .field("parent_promotions", t.parent_promotions)
+      .field("parent_hits", t.parent_hits)
       .field("wall_seconds", t.wall_seconds);
   if (t.crack) {
     // "adaptive_probes_to_unique" is the headline crack metric: physical
@@ -123,6 +126,9 @@ std::optional<TrialOutcome> trial_from_json(const JsonValue& v) {
   get_size("migration_runs", t.migration_runs);
   get_size("corruption_detections", t.corruption_detections);
   get_size("transient_rejections", t.transient_rejections);
+  get_size("sites_decoded", t.sites_decoded);
+  get_size("parent_promotions", t.parent_promotions);
+  get_size("parent_hits", t.parent_hits);
   get_bool("crack", t.crack);
   get_bool("crack_unique", t.crack_unique);
   get_bool("crack_proven_ambiguous", t.crack_proven_ambiguous);

@@ -4,17 +4,8 @@ namespace sbm::crypto {
 namespace {
 
 // GF(2^8) with the AES reduction polynomial x^8 + x^4 + x^3 + x + 1.
-constexpr u8 xtime(u8 a) { return static_cast<u8>((a << 1) ^ ((a & 0x80) ? 0x1b : 0x00)); }
-
-constexpr u8 gf_mul(u8 a, u8 b) {
-  u8 p = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (b & 1) p = static_cast<u8>(p ^ a);
-    a = xtime(a);
-    b = static_cast<u8>(b >> 1);
-  }
-  return p;
-}
+// Branch-free: -(a >> 7) is all-ones exactly when the top bit is set.
+constexpr u8 xtime(u8 a) { return static_cast<u8>((a << 1) ^ (0x1b & -(a >> 7))); }
 
 std::array<u8, 256> make_sbox() {
   // Build the multiplicative inverse table via the generator 3, then apply
@@ -25,7 +16,7 @@ std::array<u8, 256> make_sbox() {
   for (int i = 0; i < 255; ++i) {
     exp3[static_cast<size_t>(i)] = x;
     log3[x] = static_cast<u8>(i);
-    x = gf_mul(x, 3);
+    x = static_cast<u8>(x ^ xtime(x));  // x * 3
   }
   std::array<u8, 256> sbox{};
   for (int i = 0; i < 256; ++i) {
@@ -98,13 +89,16 @@ void Aes256::encrypt_block(AesBlock& block) const {
     }
   };
   auto mix_columns = [&] {
+    // 2a ^ 3b ^ c ^ d == a ^ (a ^ b ^ c ^ d) ^ xtime(a ^ b), so a column
+    // costs four xtimes and no general GF(2^8) multiply.
     for (size_t col = 0; col < 4; ++col) {
       u8* c = block.data() + 4 * col;
       const u8 a0 = c[0], a1 = c[1], a2 = c[2], a3 = c[3];
-      c[0] = static_cast<u8>(gf_mul(a0, 2) ^ gf_mul(a1, 3) ^ a2 ^ a3);
-      c[1] = static_cast<u8>(a0 ^ gf_mul(a1, 2) ^ gf_mul(a2, 3) ^ a3);
-      c[2] = static_cast<u8>(a0 ^ a1 ^ gf_mul(a2, 2) ^ gf_mul(a3, 3));
-      c[3] = static_cast<u8>(gf_mul(a0, 3) ^ a1 ^ a2 ^ gf_mul(a3, 2));
+      const u8 t = static_cast<u8>(a0 ^ a1 ^ a2 ^ a3);
+      c[0] = static_cast<u8>(a0 ^ t ^ xtime(static_cast<u8>(a0 ^ a1)));
+      c[1] = static_cast<u8>(a1 ^ t ^ xtime(static_cast<u8>(a1 ^ a2)));
+      c[2] = static_cast<u8>(a2 ^ t ^ xtime(static_cast<u8>(a2 ^ a3)));
+      c[3] = static_cast<u8>(a3 ^ t ^ xtime(static_cast<u8>(a3 ^ a0)));
     }
   };
 

@@ -4,11 +4,13 @@
 //
 // Each lane is configured exactly like a scalar Device — the same parse /
 // CRC semantics, the same per-site INIT decode — but configuration starts
-// from the golden snapshot and only re-decodes the sites a candidate's
-// frame diff touches.  Candidates the fast path cannot prove safe go
-// through the full parser for that lane alone; rejected lanes simply yield
-// no keystream.  Lane keys may differ (a probe can patch the embedded key);
-// the IV is broadcast, matching the oracle's fixed host IV.
+// from a parent image of the snapshot (fpga/snapshot.h), chosen once per
+// device by its first lane, and only re-decodes the sites where a
+// candidate's frame bytes differ from that parent's.  Candidates the fast
+// path cannot prove safe go through the full parser for that lane alone;
+// rejected lanes simply yield no keystream.  Lane keys may differ (a probe
+// can patch the embedded key); the IV is broadcast, matching the oracle's
+// fixed host IV.
 //
 // BatchDevice = BatchDeviceT<u64> is the 64-lane scalar reference; the
 // 256/512-lane instantiations are confined to the src/simd/ kernel TUs and
@@ -16,6 +18,7 @@
 #pragma once
 
 #include <array>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -50,6 +53,7 @@ class BatchDeviceT {
   bitstream::Layout layout_;
   const DeviceSnapshot& snap_;
   mapper::BatchLutSimulatorT<LV> sim_;
+  std::shared_ptr<const ParentImage> base_;  // chosen by the first configure_lane
   std::array<snow3g::Key, kLanes> keys_{};
   LV ok_mask_{};
 };
@@ -62,24 +66,22 @@ template <class LV>
 BatchDeviceT<LV>::BatchDeviceT(const netlist::Snow3gDesign& design,
                                const mapper::PlacedDesign& placed,
                                const bitstream::Layout& layout, const DeviceSnapshot& snapshot)
-    : design_(design), placed_(placed), layout_(layout), snap_(snapshot), sim_(snapshot.tape) {
-  sim_.set_tables(snap_.golden_tables);
-  keys_.fill(snap_.golden_key);
-}
+    : design_(design), placed_(placed), layout_(layout), snap_(snapshot), sim_(snapshot.tape) {}
 
 template <class LV>
 bool BatchDeviceT<LV>::configure_lane(unsigned lane, std::span<const u8> bytes) {
-  if (const auto diff = diff_against_golden(snap_, bytes)) {
+  if (base_ == nullptr) {
+    // The first lane picks the parent every lane of this device is diffed
+    // against; a chunk's probes share their base image, so its neighbours
+    // sit a site or two away from the same parent.
+    base_ = snap_.base_for(placed_, bytes);
+    sim_.set_tables(base_->tables);
+  }
+  if (const auto diff = diff_against(snap_, *base_, bytes)) {
     for (const auto& [site, init] : diff->sites) {
-      const mapper::PhysicalLut& p = placed_.phys[site];
-      if (p.o6_lut >= 0) {
-        sim_.set_lut_table(static_cast<size_t>(p.o6_lut), lane,
-                           placed_.function_from_init(site, false, init).bits());
-      }
-      if (p.o5_lut >= 0) {
-        sim_.set_lut_table(static_cast<size_t>(p.o5_lut), lane,
-                           placed_.function_from_init(site, true, init).bits());
-      }
+      for_each_site_lut(placed_, site, init, [&](size_t lut, const logic::TruthTable6& f) {
+        sim_.set_lut_table(lut, lane, f.bits());
+      });
     }
     keys_[lane] = diff->key;
     simd::set_lane(ok_mask_, lane, true);
@@ -98,20 +100,13 @@ bool BatchDeviceT<LV>::configure_lane(unsigned lane, std::span<const u8> bytes) 
     const auto order = bitstream::chunk_order(placed_.slice_of(site));
     const u64 init = bitstream::read_lut_init(parsed.frame_data, l,
                                               bitstream::Layout::chunk_stride(), order);
-    const mapper::PhysicalLut& p = placed_.phys[site];
-    if (p.o6_lut >= 0) {
-      const auto f = placed_.function_from_init(site, false, init);
-      if (f != snap_.golden_luts.luts[static_cast<size_t>(p.o6_lut)].function) {
-        sim_.set_lut_table(static_cast<size_t>(p.o6_lut), lane, f.bits());
-      }
-    }
-    if (p.o5_lut >= 0) {
-      const auto f = placed_.function_from_init(site, true, init);
-      if (f != snap_.golden_luts.luts[static_cast<size_t>(p.o5_lut)].function) {
-        sim_.set_lut_table(static_cast<size_t>(p.o5_lut), lane, f.bits());
-      }
-    }
+    // The lane starts from the base's tables, so only functions that differ
+    // from the base's need a lane write.
+    for_each_site_lut(placed_, site, init, [&](size_t lut, const logic::TruthTable6& f) {
+      if (f != base_->luts.luts[lut].function) sim_.set_lut_table(lut, lane, f.bits());
+    });
   }
+  snap_.note_sites_decoded(placed_.phys.size());
   const size_t key_off = layout_.key_byte_index() - layout_.fdri_byte_offset;
   for (size_t w = 0; w < 4; ++w) {
     keys_[lane][w] = load_be32(parsed.frame_data.data() + key_off + 4 * w);
@@ -125,8 +120,8 @@ std::vector<std::optional<std::vector<u32>>> BatchDeviceT<LV>::keystream(const s
                                                                          size_t n,
                                                                          unsigned lanes) {
   // Same drive sequence as Device::keystream, lane-sliced.  Rejected lanes
-  // run on whatever tables they hold (golden + any partial fallback writes);
-  // their results are discarded below.
+  // run on whatever tables they hold (the base's + any partial fallback
+  // writes); their results are discarded below.
   sim_.reset();
   for (unsigned lane = 0; lane < lanes; ++lane) {
     for (size_t i = 0; i < 4; ++i) sim_.set_input_word_lane(design_.key[i], lane, keys_[lane][i]);

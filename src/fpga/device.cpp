@@ -18,18 +18,13 @@ bool Device::configure(std::span<const u8> bytes) {
   error_.clear();
 
   if (snapshot_) {
-    if (const auto diff = diff_against_golden(*snapshot_, bytes)) {
-      configured_luts_ = snapshot_->golden_luts;
+    const std::shared_ptr<const ParentImage> base = snapshot_->base_for(placed_, bytes);
+    if (const auto diff = diff_against(*snapshot_, *base, bytes)) {
+      configured_luts_ = base->luts;
       for (const auto& [site, init] : diff->sites) {
-        const mapper::PhysicalLut& p = placed_.phys[site];
-        if (p.o6_lut >= 0) {
-          configured_luts_.luts[static_cast<size_t>(p.o6_lut)].function =
-              placed_.function_from_init(site, false, init);
-        }
-        if (p.o5_lut >= 0) {
-          configured_luts_.luts[static_cast<size_t>(p.o5_lut)].function =
-              placed_.function_from_init(site, true, init);
-        }
+        for_each_site_lut(placed_, site, init, [&](size_t lut, const logic::TruthTable6& f) {
+          configured_luts_.luts[lut].function = f;
+        });
       }
       key_ = diff->key;
       configured_ = true;
@@ -55,16 +50,11 @@ bool Device::configure(std::span<const u8> bytes) {
     const auto order = bitstream::chunk_order(placed_.slice_of(site));
     const u64 init = bitstream::read_lut_init(parsed.frame_data, l, bitstream::Layout::chunk_stride(),
                                               order);
-    const mapper::PhysicalLut& p = placed_.phys[site];
-    if (p.o6_lut >= 0) {
-      configured_luts_.luts[static_cast<size_t>(p.o6_lut)].function =
-          placed_.function_from_init(site, false, init);
-    }
-    if (p.o5_lut >= 0) {
-      configured_luts_.luts[static_cast<size_t>(p.o5_lut)].function =
-          placed_.function_from_init(site, true, init);
-    }
+    for_each_site_lut(placed_, site, init, [&](size_t lut, const logic::TruthTable6& f) {
+      configured_luts_.luts[lut].function = f;
+    });
   }
+  if (snapshot_) snapshot_->note_sites_decoded(placed_.phys.size());
 
   // Load the embedded key.
   const size_t key_off = layout_.key_byte_index() - layout_.fdri_byte_offset;

@@ -26,9 +26,9 @@ struct DeviceSnapshot;
 class Device {
  public:
   /// `snapshot` (optional, must outlive the device) enables the incremental
-  /// configure fast path: candidates that differ from the golden bitstream
-  /// only inside the frame-data region skip the full parse and re-decode
-  /// only the touched LUT sites.  Acceptance behavior is unchanged.
+  /// configure fast path: candidates that differ from one of the snapshot's
+  /// parent images only inside the frame-data region skip the full parse
+  /// and re-decode only the sites that differ.  Acceptance is unchanged.
   Device(const netlist::Snow3gDesign& design, const mapper::PlacedDesign& placed,
          const bitstream::Layout& layout, const DeviceSnapshot* snapshot = nullptr);
 

@@ -1,16 +1,18 @@
 #include "fpga/snapshot.h"
 
 #include <cstring>
+#include <limits>
 
 #include "bitstream/patcher.h"
+#include "obs/metrics.h"
 
 namespace sbm::fpga {
 
 namespace {
 
 /// FNV-1a over the bytes outside [fdri, fdri + frame_len): the hash guard
-/// that lets diff_against_golden skip the byte-wise template compare for
-/// bitstreams that obviously do not match.
+/// that lets the template check skip the byte-wise compare for bitstreams
+/// that obviously do not match.
 u64 outside_hash(std::span<const u8> bytes, size_t fdri, size_t frame_len) {
   u64 h = 0xcbf29ce484222325ull;
   auto feed = [&h](const u8* p, size_t n) {
@@ -28,6 +30,45 @@ bool outside_equal(std::span<const u8> bytes, const std::vector<u8>& tmpl, size_
                      bytes.size() - fdri - frame_len) == 0;
 }
 
+enum class Template { kNone, kNoCrc, kGolden };
+
+/// Which fast-path template `bytes` matches (see the invariant in the header).
+Template match_template(const DeviceSnapshot& s, std::span<const u8> bytes) {
+  if (s.frame_len == 0 || bytes.size() != s.golden.size()) return Template::kNone;
+  const u64 h = outside_hash(bytes, s.fdri, s.frame_len);
+  if (s.has_nocrc_template && h == s.outside_hash_nocrc &&
+      outside_equal(bytes, s.golden_nocrc, s.fdri, s.frame_len)) {
+    return Template::kNoCrc;
+  }
+  // Pristine-golden fast path: only if the frame data is untouched too; any
+  // modification under an armed CRC must go through the real parser so the
+  // rejection (and its error string) is authentic.
+  if (h == s.outside_hash_golden && outside_equal(bytes, s.golden, s.fdri, s.frame_len) &&
+      std::memcmp(bytes.data() + s.fdri, s.golden.data() + s.fdri, s.frame_len) == 0) {
+    return Template::kGolden;
+  }
+  return Template::kNone;
+}
+
+/// Differing 8-byte words between two frame regions (a ragged tail counts
+/// as one word), counting stops at `bound`.
+size_t frame_distance(const u8* a, const u8* b, size_t len, size_t bound) {
+  size_t words = 0;
+  size_t i = 0;
+  for (; i + 8 <= len && words < bound; i += 8) words += std::memcmp(a + i, b + i, 8) != 0;
+  if (i < len && words < bound) words += std::memcmp(a + i, b + i, len - i) != 0;
+  return words;
+}
+
+/// Overwrites one LUT's function and its lane-transposed table words.
+void set_parent_lut(const mapper::BatchLutTape& tape, ParentImage& img, size_t lut,
+                    const logic::TruthTable6& f) {
+  img.luts.luts[lut].function = f;
+  u64* t = &img.tables[tape.table_offset(lut)];
+  const unsigned n = 1u << tape.table_log2(lut);
+  for (unsigned m = 0; m < n; ++m) t[m] = ((f.bits() >> m) & 1) ? ~u64{0} : 0;
+}
+
 }  // namespace
 
 std::shared_ptr<const DeviceSnapshot> build_snapshot(const netlist::Snow3gDesign& design,
@@ -43,7 +84,7 @@ std::shared_ptr<const DeviceSnapshot> build_snapshot(const netlist::Snow3gDesign
   snap->frame_len = layout.frame_count * bitstream::kFrameBytes;
   if (snap->fdri + snap->frame_len > snap->golden.size()) {
     // Degenerate geometry (should not happen for assembled systems): leave
-    // the snapshot without fast-path data; diff_against_golden will refuse.
+    // the snapshot without fast-path data; diff_against will refuse.
     snap->frame_len = 0;
     snap->fdri = 0;
     snap->has_nocrc_template = false;
@@ -72,25 +113,22 @@ std::shared_ptr<const DeviceSnapshot> build_snapshot(const netlist::Snow3gDesign
     if (idx < snap->owner.size()) snap->owner[idx] = DeviceSnapshot::kOwnerKey;
   }
 
-  // Golden decode: same per-site reconstruction Device::configure performs,
-  // read once here so every probe starts from this configuration.
-  snap->golden_luts = placed.mapped;
+  // Golden decode (parent 0): same per-site reconstruction Device::configure
+  // performs, read once here so every probe starts from this configuration.
+  auto gold = std::make_shared<ParentImage>();
+  const u8* golden_frames = snap->golden.data() + snap->fdri;
+  gold->frames.assign(golden_frames, golden_frames + snap->frame_len);
+  gold->luts = placed.mapped;
   for (size_t site = 0; site < placed.phys.size(); ++site) {
     const u64 init = bitstream::read_lut_init(snap->golden, snap->site_l[site],
                                               bitstream::Layout::chunk_stride(),
                                               snap->site_order[site]);
-    const mapper::PhysicalLut& p = placed.phys[site];
-    if (p.o6_lut >= 0) {
-      snap->golden_luts.luts[static_cast<size_t>(p.o6_lut)].function =
-          placed.function_from_init(site, false, init);
-    }
-    if (p.o5_lut >= 0) {
-      snap->golden_luts.luts[static_cast<size_t>(p.o5_lut)].function =
-          placed.function_from_init(site, true, init);
-    }
+    for_each_site_lut(placed, site, init, [&](size_t lut, const logic::TruthTable6& f) {
+      gold->luts.luts[lut].function = f;
+    });
   }
   for (size_t w = 0; w < 4; ++w) {
-    snap->golden_key[w] = load_be32(snap->golden.data() + snap->key_l + 4 * w);
+    gold->key[w] = load_be32(snap->golden.data() + snap->key_l + 4 * w);
   }
 
   // Compiled evaluation tape + lane-transposed golden tables.  Forcing the
@@ -98,38 +136,25 @@ std::shared_ptr<const DeviceSnapshot> build_snapshot(const netlist::Snow3gDesign
   // read-only on the Network.
   design.net.topo_order();
   snap->tape = std::make_shared<const mapper::BatchLutTape>(design.net, placed.mapped);
-  snap->golden_tables = snap->tape->transpose_tables(snap->golden_luts);
+  gold->tables = snap->tape->transpose_tables(gold->luts);
+  snap->golden_parent = std::move(gold);
   return snap;
 }
 
-std::optional<FrameDiff> diff_against_golden(const DeviceSnapshot& s, std::span<const u8> bytes) {
-  if (s.frame_len == 0 || bytes.size() != s.golden.size()) return std::nullopt;
-  const u64 h = outside_hash(bytes, s.fdri, s.frame_len);
+std::optional<FrameDiff> diff_against(const DeviceSnapshot& s, const ParentImage& parent,
+                                      std::span<const u8> bytes) {
+  if (match_template(s, bytes) == Template::kNone) return std::nullopt;
   const u8* cf = bytes.data() + s.fdri;
-  const u8* gf = s.golden.data() + s.fdri;
-
-  const bool nocrc_match = s.has_nocrc_template && h == s.outside_hash_nocrc &&
-                           outside_equal(bytes, s.golden_nocrc, s.fdri, s.frame_len);
-  if (!nocrc_match) {
-    // Pristine-golden fast path: only if the frame data is untouched too;
-    // any modification under an armed CRC must go through the real parser
-    // so the rejection (and its error string) is authentic.
-    if (h == s.outside_hash_golden && outside_equal(bytes, s.golden, s.fdri, s.frame_len) &&
-        std::memcmp(cf, gf, s.frame_len) == 0) {
-      FrameDiff d;
-      d.key = s.golden_key;
-      return d;
-    }
-    return std::nullopt;
-  }
+  const u8* pf = parent.frames.data();
 
   FrameDiff d;
+  bool key_changed = false;
   std::vector<char> seen(s.site_l.size(), 0);
   auto diff_byte = [&](size_t i) {
-    if (cf[i] == gf[i]) return;
+    if (cf[i] == pf[i]) return;
     const int o = s.owner[i];
     if (o == DeviceSnapshot::kOwnerKey) {
-      d.key_changed = true;
+      key_changed = true;
     } else if (o >= 0 && !seen[static_cast<size_t>(o)]) {
       seen[static_cast<size_t>(o)] = 1;
       d.sites.emplace_back(static_cast<size_t>(o), 0);
@@ -139,7 +164,7 @@ std::optional<FrameDiff> diff_against_golden(const DeviceSnapshot& s, std::span<
   };
   size_t i = 0;
   for (; i + 8 <= s.frame_len; i += 8) {
-    if (std::memcmp(cf + i, gf + i, 8) == 0) continue;
+    if (std::memcmp(cf + i, pf + i, 8) == 0) continue;
     for (size_t j = i; j < i + 8; ++j) diff_byte(j);
   }
   for (; i < s.frame_len; ++i) diff_byte(i);
@@ -148,12 +173,84 @@ std::optional<FrameDiff> diff_against_golden(const DeviceSnapshot& s, std::span<
     init = bitstream::read_lut_init(bytes, s.site_l[site], bitstream::Layout::chunk_stride(),
                                     s.site_order[site]);
   }
-  if (d.key_changed) {
+  s.note_sites_decoded(d.sites.size());
+  if (key_changed) {
     for (size_t w = 0; w < 4; ++w) d.key[w] = load_be32(bytes.data() + s.key_l + 4 * w);
   } else {
-    d.key = s.golden_key;
+    d.key = parent.key;
   }
   return d;
+}
+
+std::shared_ptr<const ParentImage> DeviceSnapshot::base_for(const mapper::PlacedDesign& placed,
+                                                            std::span<const u8> bytes) const {
+  if (match_template(*this, bytes) != Template::kNoCrc) return golden_parent;
+  static obs::Counter& c_hits = obs::MetricsRegistry::global().counter("fpga.parent_hits");
+  static obs::Counter& c_promotions =
+      obs::MetricsRegistry::global().counter("fpga.parent_promotions");
+  const u8* cf = bytes.data() + fdri;
+
+  std::shared_ptr<const ParentImage> closest;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (parents_.empty()) parents_.push_back({golden_parent, 0});
+    size_t best = 0;
+    size_t best_words = std::numeric_limits<size_t>::max();
+    for (size_t i = 0; i < parents_.size(); ++i) {
+      const size_t words =
+          frame_distance(cf, parents_[i].image->frames.data(), frame_len, best_words);
+      if (words < best_words) {
+        best = i;
+        best_words = words;
+      }
+    }
+    closest = parents_[best].image;
+    if (best_words <= kPromoteWords) {
+      parents_[best].last_use = ++clock_;
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      c_hits.add();
+      return closest;
+    }
+  }
+
+  // Promote: configure the candidate against its closest parent (outside
+  // the lock — the parent is immutable) and cache the result.
+  const std::optional<FrameDiff> diff = diff_against(*this, *closest, bytes);
+  auto img = std::make_shared<ParentImage>();
+  img->frames.assign(cf, cf + frame_len);
+  img->luts = closest->luts;
+  img->tables = closest->tables;
+  for (const auto& [site, init] : diff->sites) {
+    for_each_site_lut(placed, site, init, [&](size_t lut, const logic::TruthTable6& f) {
+      set_parent_lut(*tape, *img, lut, f);
+    });
+  }
+  img->key = diff->key;
+  promotions_.fetch_add(1, std::memory_order_relaxed);
+  c_promotions.add();
+
+  std::lock_guard<std::mutex> lock(mu_);
+  if (parents_.size() < kParentCapacity) {
+    parents_.push_back({img, ++clock_});
+  } else {
+    size_t victim = 1;  // golden (slot 0) is never evicted
+    for (size_t i = 2; i < parents_.size(); ++i) {
+      if (parents_[i].last_use < parents_[victim].last_use) victim = i;
+    }
+    parents_[victim] = {img, ++clock_};
+  }
+  return img;
+}
+
+void DeviceSnapshot::note_sites_decoded(size_t sites) const {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter("fpga.sites_decoded");
+  sites_decoded_.fetch_add(sites, std::memory_order_relaxed);
+  c.add(sites);
+}
+
+ConfigureStats DeviceSnapshot::stats() const {
+  return {sites_decoded_.load(std::memory_order_relaxed),
+          promotions_.load(std::memory_order_relaxed), hits_.load(std::memory_order_relaxed)};
 }
 
 }  // namespace sbm::fpga

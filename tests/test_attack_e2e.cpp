@@ -7,6 +7,7 @@
 #include "bitstream/secure.h"
 #include "common/rng.h"
 #include "fpga/system.h"
+#include "runtime/parallel.h"
 
 namespace sbm::attack {
 namespace {
@@ -113,37 +114,63 @@ TEST(AttackE2E, WorksThroughTheEncryptedEnvelope) {
   ka[2] = 0x77;
   const auto envelope = bitstream::protect_bitstream(sys.golden.bytes, ke, ka, {});
 
-  // Device only accepts encrypted images now; the oracle re-protects each
-  // probe with the recovered K_A.
+  // Device only accepts encrypted images now: the attacker re-protects each
+  // probe with the recovered K_A, the device opens the envelope (decrypt,
+  // verify the MAC) and configures the batched lanes from the plain images.
   class EncryptedOracle : public Oracle {
    public:
     EncryptedOracle(const fpga::System& sys, crypto::Aes256Key ke, bitstream::AuthKey ka,
-                    snow3g::Iv iv)
-        : sys_(sys), ke_(ke), ka_(ka), iv_(iv) {}
+                    snow3g::Iv iv, runtime::ThreadPool* pool)
+        : device_(sys, iv, pool), ke_(ke), ka_(ka), pool_(pool) {}
     runtime::ProbeOutcome run(std::span<const u8> bitstream, size_t words) override {
-      ++runs_;
-      const auto enc = bitstream::protect_bitstream(bitstream, ke_, ka_, {});
-      fpga::Device dev = sys_.make_device();
-      if (!dev.configure_encrypted(enc, ke_)) return std::nullopt;
-      return dev.keystream(iv_, words);
+      const std::vector<u8> one(bitstream.begin(), bitstream.end());
+      return run_batch(std::span<const std::vector<u8>>(&one, 1), words)[0];
     }
+    std::vector<runtime::ProbeOutcome> run_batch(std::span<const std::vector<u8>> bitstreams,
+                                                 size_t words) override {
+      runs_ += bitstreams.size();
+      std::vector<bitstream::UnprotectResult> opened(bitstreams.size());
+      runtime::parallel_for(pool_, bitstreams.size(), [&](size_t i) {
+        opened[i] = bitstream::unprotect_bitstream(
+            bitstream::protect_bitstream(bitstreams[i], ke_, ka_, {}), ke_);
+      });
+      std::vector<std::vector<u8>> plains;
+      plains.reserve(opened.size());
+      for (auto& res : opened) {
+        envelope_failures += !res.ok;
+        // An envelope that fails to open configures nothing: the lane rejects.
+        plains.push_back(res.ok ? std::move(res.plain) : std::vector<u8>{});
+      }
+      auto out = device_.run_batch(plains, words);
+      for (const auto& z : out) rejections += !z;
+      return out;
+    }
+    unsigned batch_lanes() const override { return device_.batch_lanes(); }
+
+    size_t envelope_failures = 0;
+    size_t rejections = 0;
 
    private:
-    const fpga::System& sys_;
+    DeviceOracle device_;
     crypto::Aes256Key ke_;
     bitstream::AuthKey ka_;
-    snow3g::Iv iv_;
+    runtime::ThreadPool* pool_;
   };
 
   const auto stolen = bitstream::unprotect_bitstream(envelope, ke);
   ASSERT_TRUE(stolen.ok) << stolen.error;
   EXPECT_EQ(stolen.k_a, ka);  // K_A read out of the decrypted image
 
-  EncryptedOracle oracle(sys, ke, stolen.k_a, kHostIv);
+  runtime::ThreadPool pool(4);
+  EncryptedOracle oracle(sys, ke, stolen.k_a, kHostIv, &pool);
   Attack attack(oracle, stolen.plain, config_for(kHostIv));
   const AttackResult res = attack.execute();
   ASSERT_TRUE(res.success) << res.failure;
   EXPECT_EQ(res.secrets.key, sys.options.key);
+  // Every re-MAC'd, re-encrypted probe opened and configured.
+  EXPECT_GT(oracle.runs(), 0u);
+  EXPECT_EQ(oracle.envelope_failures, 0u);
+  EXPECT_EQ(oracle.rejections, 0u);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 // paper-cost reconfiguration, and probe_calls = oracle_runs + cache_hits.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "attack/pipeline.h"
 #include "bitstream/patcher.h"
 #include "campaign/campaign.h"
@@ -95,6 +97,69 @@ TEST(BatchAttack, CampaignFingerprintInvariantAcrossWidthsAndThreads) {
     EXPECT_EQ(rep.total_oracle_runs, ref.total_oracle_runs);
     EXPECT_EQ(rep.total_cache_hits, ref.total_cache_hits);
   }
+}
+
+/// Forwards to a serial DeviceOracle and records the victim snapshot's
+/// sites-decoded total after every call, keyed by the runs so far, so the
+/// device's decode work splits along the attack's phase run counts.
+class DecodeLedgerOracle : public attack::Oracle {
+ public:
+  explicit DecodeLedgerOracle(const fpga::System& sys) : sys_(sys), device_(sys, kHostIv) {}
+  runtime::ProbeOutcome run(std::span<const u8> bitstream, size_t words) override {
+    auto z = device_.run(bitstream, words);
+    note(1);
+    return z;
+  }
+  std::vector<runtime::ProbeOutcome> run_batch(std::span<const std::vector<u8>> bitstreams,
+                                               size_t words) override {
+    auto out = device_.run_batch(bitstreams, words);
+    note(bitstreams.size());
+    return out;
+  }
+  unsigned batch_lanes() const override { return device_.batch_lanes(); }
+
+  std::map<size_t, u64> sites_at{{0, 0}};
+
+ private:
+  void note(size_t n) {
+    runs_ += n;
+    sites_at[runs_] = sys_.snapshot->stats().sites_decoded;
+  }
+  const fpga::System& sys_;
+  attack::DeviceOracle device_;
+};
+
+TEST(BatchAttack, FeedbackProbesDecodeAFewSitesEach) {
+  // Every feedback probe is the beta-patched image plus one rewritten LUT.
+  // Diffed against a parent near that image instead of the golden one, a
+  // probe re-decodes its own site and the parent's, not the ~272 beta sites.
+  const fpga::System sys = fpga::build_system();  // fresh parent cache
+  DecodeLedgerOracle oracle(sys);
+  runtime::ProbeCache cache;
+  attack::PipelineConfig cfg;
+  cfg.iv = kHostIv;
+  cfg.cache = &cache;
+  attack::Attack attack(oracle, sys.golden.bytes, cfg);
+  const attack::AttackResult res = attack.execute();
+  ASSERT_TRUE(res.success) << res.failure;
+
+  size_t begin = 0;
+  size_t feedback = 0;
+  for (const auto& [phase, runs] : res.phase_runs) {
+    if (phase == "feedback") {
+      feedback = runs;
+      break;
+    }
+    begin += runs;
+  }
+  ASSERT_GT(feedback, 1000u);
+  ASSERT_TRUE(oracle.sites_at.count(begin));
+  ASSERT_TRUE(oracle.sites_at.count(begin + feedback));
+  const double per_probe =
+      static_cast<double>(oracle.sites_at[begin + feedback] - oracle.sites_at[begin]) /
+      static_cast<double>(feedback);
+  EXPECT_LE(per_probe, 4.0);
+  EXPECT_GE(sys.snapshot->stats().parent_promotions, 1u);
 }
 
 TEST(BatchOracle, RunBatchMatchesScalarRunsOnRaggedBatches) {

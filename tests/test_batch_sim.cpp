@@ -3,8 +3,12 @@
 // Simulator / LutSimulator / Device run with that lane's stimulus and
 // configuration — on thousands of random key/IV/patch vectors, for full and
 // ragged lane counts, and through the Device's incremental-configure fast
-// path (including rejected bitstreams).
+// path (including rejected bitstreams) against every kind of parent image
+// the snapshot can diff a candidate against, with parents promoted and
+// evicted by concurrent chunks.
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "bitstream/patcher.h"
 #include "common/rng.h"
@@ -14,6 +18,9 @@
 #include "mapper/lut_network.h"
 #include "netlist/batch_sim.h"
 #include "netlist/sim.h"
+#include "runtime/parallel.h"
+#include "runtime/thread_pool.h"
+#include "simd/wide.h"
 
 namespace sbm {
 namespace {
@@ -71,7 +78,7 @@ struct LaneVector {
 void check_lut_batch(const fpga::System& sys, const std::vector<LaneVector>& lanes,
                      size_t words) {
   mapper::BatchLutSimulator batch(sys.snapshot->tape);
-  batch.set_tables(sys.snapshot->golden_tables);
+  batch.set_tables(sys.snapshot->golden_parent->tables);
   for (size_t l = 0; l < lanes.size(); ++l) {
     batch.set_lut_table(lanes[l].lut, static_cast<unsigned>(l), lanes[l].bits);
   }
@@ -107,7 +114,7 @@ void check_lut_batch(const fpga::System& sys, const std::vector<LaneVector>& lan
   }
 
   for (size_t l = 0; l < lanes.size(); ++l) {
-    mapper::LutNetwork luts = sys.snapshot->golden_luts;
+    mapper::LutNetwork luts = sys.snapshot->golden_parent->luts;
     luts.luts[lanes[l].lut].function = logic::TruthTable6(lanes[l].bits);
     mapper::LutSimulator scalar(sys.design.net, luts);
     const std::vector<u32> expect = drive_keystream(
@@ -135,7 +142,7 @@ TEST(BatchLutSim, MatchesScalarOnTenThousandRandomVectors) {
   Rng rng(0xba7c4);
   constexpr size_t kBatches = 157;  // 157 * 64 = 10048 random probe vectors
   for (size_t b = 0; b < kBatches; ++b) {
-    check_lut_batch(sys, random_lanes(rng, 64, sys.snapshot->golden_luts.luts.size()),
+    check_lut_batch(sys, random_lanes(rng, 64, sys.snapshot->golden_parent->luts.luts.size()),
                     /*words=*/2);
   }
 }
@@ -144,7 +151,7 @@ TEST(BatchLutSim, RaggedLaneCountsMatchScalar) {
   const fpga::System& sys = shared_system();
   Rng rng(0x7a66ed);
   for (const size_t count : {size_t{1}, size_t{7}, size_t{63}}) {
-    check_lut_batch(sys, random_lanes(rng, count, sys.snapshot->golden_luts.luts.size()),
+    check_lut_batch(sys, random_lanes(rng, count, sys.snapshot->golden_parent->luts.luts.size()),
                     /*words=*/3);
   }
 }
@@ -282,6 +289,265 @@ TEST(DeviceSnapshot, FastPathMatchesFullParseBehavior) {
       EXPECT_EQ(fast.error(), slow.error());
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Parent-rebased configuration (fpga/snapshot.h): a device diffs each
+// candidate against a cached parent image instead of the golden one.  Tests
+// that count promotions build a fresh system so its parent cache starts
+// empty.
+
+constexpr snow3g::Iv kRebaseIv = {0x5eed0001, 0x00c0ffee, 0x12345678, 0x9abcdef0};
+
+std::vector<u8> nocrc_golden(const fpga::System& sys) {
+  std::vector<u8> bytes = sys.golden.bytes;
+  bitstream::disable_crc(bytes);
+  return bytes;
+}
+
+/// `bytes` with `sites` random LUT sites rewritten to random INITs.
+std::vector<u8> patch_sites(const fpga::System& sys, std::vector<u8> bytes, Rng& rng,
+                            size_t sites) {
+  for (size_t i = 0; i < sites; ++i) {
+    const size_t site = rng.next_u64() % sys.placed.phys.size();
+    bitstream::write_lut_init(bytes, sys.golden.layout.site_byte_index(site),
+                              bitstream::Layout::chunk_stride(),
+                              bitstream::chunk_order(sys.placed.slice_of(site)), rng.next_u64());
+  }
+  return bytes;
+}
+
+/// A CRC-disabled image with its own key, ~48 sites from golden and from any
+/// other such image: further than kPromoteWords from every parent, so the
+/// first device that sees it promotes it.
+std::vector<u8> far_image(const fpga::System& sys, Rng& rng) {
+  std::vector<u8> bytes = patch_sites(sys, nocrc_golden(sys), rng, 48);
+  for (size_t b = 0; b < 16; ++b) {
+    bytes[sys.golden.layout.key_byte_index() + b] = static_cast<u8>(rng.next_u64());
+  }
+  return bytes;
+}
+
+/// One random edit of `base` (a CRC-disabled image): a multi-site patch, a
+/// key-region edit, the same frames under the armed-CRC golden header, a
+/// truncation, a header-byte edit, or `base` itself.
+std::vector<u8> random_edit(const fpga::System& sys, const std::vector<u8>& base, Rng& rng) {
+  const bitstream::Layout& layout = sys.golden.layout;
+  const size_t frame_end = layout.fdri_byte_offset + layout.frame_count * bitstream::kFrameBytes;
+  switch (rng.next_u64() % 6) {
+    case 0:
+      return patch_sites(sys, base, rng, 1 + rng.next_u64() % 4);
+    case 1: {
+      std::vector<u8> bytes = patch_sites(sys, base, rng, rng.next_u64() % 2);
+      const size_t b = layout.key_byte_index() + rng.next_u64() % 16;
+      bytes[b] ^= static_cast<u8>(1 + rng.next_u64() % 255);
+      return bytes;
+    }
+    case 2: {  // armed CRC: rejected unless the frames are golden's
+      std::vector<u8> bytes = sys.golden.bytes;
+      std::copy(base.begin() + static_cast<std::ptrdiff_t>(layout.fdri_byte_offset),
+                base.begin() + static_cast<std::ptrdiff_t>(frame_end),
+                bytes.begin() + static_cast<std::ptrdiff_t>(layout.fdri_byte_offset));
+      return patch_sites(sys, std::move(bytes), rng, rng.next_u64() % 2);
+    }
+    case 3:
+      return std::vector<u8>(base.data(), base.data() + rng.next_u64() % base.size());
+    case 4: {
+      std::vector<u8> bytes = base;
+      const size_t outside = bytes.size() - (frame_end - layout.fdri_byte_offset);
+      size_t i = rng.next_u64() % outside;
+      if (i >= layout.fdri_byte_offset) i += frame_end - layout.fdri_byte_offset;
+      bytes[i] ^= static_cast<u8>(1 + rng.next_u64() % 255);
+      return bytes;
+    }
+    default:
+      return base;
+  }
+}
+
+/// What the full parser (a Device without a snapshot) makes of a candidate.
+struct FullParse {
+  bool ok = false;
+  std::string error;
+  snow3g::Key key{};
+  std::vector<u32> z;
+};
+
+FullParse full_parse(const fpga::System& sys, std::span<const u8> bytes, size_t words) {
+  fpga::Device slow(sys.design, sys.placed, sys.golden.layout);
+  FullParse r;
+  r.ok = slow.configure(bytes);
+  r.error = slow.error();
+  if (r.ok) {
+    r.key = slow.loaded_key();
+    r.z = slow.keystream(kRebaseIv, words);
+  }
+  return r;
+}
+
+void expect_lane(const std::optional<std::vector<u32>>& z, const FullParse& ref, size_t index) {
+  ASSERT_EQ(z.has_value(), ref.ok) << "candidate " << index;
+  if (ref.ok) {
+    EXPECT_EQ(*z, ref.z) << "candidate " << index;
+  }
+}
+
+TEST(BatchDevice, FullParseLaneInARebasedDeviceDiffsAgainstTheParent) {
+  const fpga::System sys = fpga::build_system();
+  Rng rng(0xfa11);
+  const std::vector<u8> far = far_image(sys, rng);
+  // A recomputed CRC takes the full parser; its functions equal golden's
+  // everywhere `far` differs from golden, so every such site needs a lane
+  // write even though it matches the golden function.
+  std::vector<u8> recomputed = patch_sites(sys, sys.golden.bytes, rng, 1);
+  ASSERT_TRUE(bitstream::recompute_crc(recomputed));
+
+  fpga::BatchDevice dev = sys.make_batch_device();
+  ASSERT_TRUE(dev.configure_lane(0, far));
+  ASSERT_EQ(sys.snapshot->stats().parent_promotions, 1u);  // lane 0 rebased the device
+  ASSERT_TRUE(dev.configure_lane(1, recomputed));
+  const auto z = dev.keystream(kRebaseIv, 8, 2);
+  expect_lane(z[0], full_parse(sys, far, 8), 0);
+  expect_lane(z[1], full_parse(sys, recomputed, 8), 1);
+}
+
+TEST(BatchDevice, PristineGoldenLaneInARebasedDeviceLoadsGolden) {
+  const fpga::System sys = fpga::build_system();
+  Rng rng(0x601d);
+  const std::vector<u8> far = far_image(sys, rng);
+  fpga::BatchDevice dev = sys.make_batch_device();
+  ASSERT_TRUE(dev.configure_lane(0, far));
+  ASSERT_EQ(sys.snapshot->stats().parent_promotions, 1u);
+  ASSERT_TRUE(dev.configure_lane(1, sys.golden.bytes));  // CRC armed, frames untouched
+  const auto z = dev.keystream(kRebaseIv, 8, 2);
+  expect_lane(z[0], full_parse(sys, far, 8), 0);
+  expect_lane(z[1], full_parse(sys, sys.golden.bytes, 8), 1);
+}
+
+TEST(DeviceSnapshot, RebasedFastPathMatchesFullParseOnRandomEdits) {
+  const fpga::System sys = fpga::build_system();
+  Rng rng(0xd1ff);
+  constexpr size_t kWords = 4;
+  const std::vector<u8> nocrc = nocrc_golden(sys);
+  const std::vector<u8> parent_a = far_image(sys, rng);
+  const std::vector<u8> parent_b = far_image(sys, rng);
+  {
+    fpga::Device promote = sys.make_device();
+    ASSERT_TRUE(promote.configure(parent_a));
+    ASSERT_TRUE(promote.configure(parent_b));
+  }
+  ASSERT_EQ(sys.snapshot->stats().parent_promotions, 2u);
+
+  std::vector<std::vector<u8>> shared;
+  for (const std::vector<u8>* base : {&nocrc, &parent_a, &parent_b}) {
+    for (int i = 0; i < 24; ++i) shared.push_back(random_edit(sys, *base, rng));
+  }
+  shared.push_back(sys.golden.bytes);
+  const auto shuffle = [&](std::vector<std::vector<u8>>& v, size_t from) {
+    for (size_t i = v.size() - 1; i > from; --i) {
+      std::swap(v[i], v[from + rng.next_u64() % (i - from + 1)]);
+    }
+  };
+  shuffle(shared, 0);
+
+  // Scalar device: accept/reject, error text, loaded key and keystream.
+  size_t rejected = 0;
+  for (size_t i = 0; i < shared.size(); ++i) {
+    const FullParse ref = full_parse(sys, shared[i], kWords);
+    rejected += !ref.ok;
+    fpga::Device fast = sys.make_device();
+    ASSERT_EQ(fast.configure(shared[i]), ref.ok) << "candidate " << i;
+    if (ref.ok) {
+      EXPECT_EQ(fast.loaded_key(), ref.key) << "candidate " << i;
+      EXPECT_EQ(fast.keystream(kRebaseIv, kWords), ref.z) << "candidate " << i;
+    } else {
+      EXPECT_EQ(fast.error(), ref.error) << "candidate " << i;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_LT(rejected, shared.size());
+
+  // Batched lanes at widths {1, 7, 64, 512}, through the device the oracle
+  // would pick for that chunk width on every compiled backend.  Each pass
+  // leads with an image no parent is near, so its first chunk configures
+  // against a just-promoted parent; later chunks hit whichever parent their
+  // lane 0 is closest to (golden, A, B, or a promoted one).
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  for (const simd::Backend b : {simd::Backend::kAvx2, simd::Backend::kAvx512}) {
+    if (simd::compiled(b) && simd::host_supports(b)) backends.push_back(b);
+  }
+  std::set<unsigned> done;
+  for (const simd::Backend backend : backends) {
+    for (const unsigned width : {1u, 7u, 64u, 512u}) {
+      const unsigned lanes = std::min(width, simd::backend_lanes(backend));
+      if (!done.insert(lanes).second) continue;
+      SCOPED_TRACE(std::string(simd::backend_name(backend)) + " x " + std::to_string(lanes));
+      const u64 promotions = sys.snapshot->stats().parent_promotions;
+      std::vector<std::vector<u8>> pass;
+      pass.push_back(far_image(sys, rng));
+      for (int i = 0; i < 6; ++i) pass.push_back(random_edit(sys, pass[0], rng));
+      shuffle(pass, 1);
+      pass.insert(pass.end(), shared.begin(), shared.end());
+      for (size_t begin = 0; begin < pass.size(); begin += lanes) {
+        const unsigned n = static_cast<unsigned>(std::min<size_t>(lanes, pass.size() - begin));
+        std::vector<std::optional<std::vector<u32>>> z;
+        if (lanes <= fpga::BatchDevice::kLanes) {
+          fpga::BatchDevice dev = sys.make_batch_device();
+          for (unsigned l = 0; l < n; ++l) dev.configure_lane(l, pass[begin + l]);
+          z = dev.keystream(kRebaseIv, kWords, n);
+        } else {
+          auto dev = simd::make_wide_device(sys, backend);
+          ASSERT_NE(dev, nullptr);
+          for (unsigned l = 0; l < n; ++l) dev->configure_lane(l, pass[begin + l]);
+          z = dev->keystream(kRebaseIv, kWords, n);
+        }
+        for (unsigned l = 0; l < n; ++l) {
+          expect_lane(z[l], full_parse(sys, pass[begin + l], kWords), begin + l);
+        }
+      }
+      EXPECT_GT(sys.snapshot->stats().parent_promotions, promotions);
+    }
+  }
+}
+
+TEST(ParentCache, EightThreadsConfigureChunksWhileParentsChurn) {
+  // Twice as many far-apart base images as the cache holds: chunks led by
+  // different bases promote and evict parents while other threads diff
+  // against them.  The base a chunk finds depends on scheduling; every
+  // lane's keystream must not.
+  const fpga::System sys = fpga::build_system();
+  Rng rng(0xc4a5);
+  constexpr size_t kBases = 2 * fpga::DeviceSnapshot::kParentCapacity;
+  constexpr size_t kPerBase = 3;
+  constexpr size_t kWords = 2;
+  std::vector<std::vector<u8>> candidates;
+  for (size_t b = 0; b < kBases; ++b) {
+    const std::vector<u8> base = far_image(sys, rng);
+    candidates.push_back(base);
+    for (size_t i = 1; i < kPerBase; ++i) candidates.push_back(patch_sites(sys, base, rng, 1));
+  }
+  std::vector<FullParse> refs;
+  for (const auto& c : candidates) refs.push_back(full_parse(sys, c, kWords));
+
+  constexpr size_t kChunks = 64;
+  constexpr unsigned kLanes = 8;
+  std::vector<std::array<size_t, kLanes>> plan(kChunks);
+  for (size_t c = 0; c < kChunks; ++c) {
+    plan[c][0] = (c % kBases) * kPerBase + rng.next_u64() % kPerBase;  // lane 0 picks the base
+    for (unsigned l = 1; l < kLanes; ++l) plan[c][l] = rng.next_u64() % candidates.size();
+  }
+  std::vector<std::vector<std::optional<std::vector<u32>>>> got(kChunks);
+  runtime::ThreadPool pool(8);
+  runtime::parallel_for(&pool, kChunks, [&](size_t c) {
+    fpga::BatchDevice dev = sys.make_batch_device();
+    for (unsigned l = 0; l < kLanes; ++l) dev.configure_lane(l, candidates[plan[c][l]]);
+    got[c] = dev.keystream(kRebaseIv, kWords, kLanes);
+  });
+  for (size_t c = 0; c < kChunks; ++c) {
+    for (unsigned l = 0; l < kLanes; ++l) expect_lane(got[c][l], refs[plan[c][l]], plan[c][l]);
+  }
+  // Every base was promoted at least once, so parents were evicted too.
+  EXPECT_GE(sys.snapshot->stats().parent_promotions, kBases);
 }
 
 }  // namespace

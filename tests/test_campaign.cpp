@@ -180,6 +180,19 @@ TEST(Campaign, ReportCarriesACanonicalMetricsBlock) {
   EXPECT_EQ(metrics->find("physical_runs")->as_u64(), report.total_physical_runs);
   EXPECT_EQ(metrics->find("retry_runs")->as_u64(), report.total_retry_runs);
   EXPECT_EQ(metrics->find("vote_runs")->as_u64(), report.total_vote_runs);
+  // Device work counters: present, summed over trials, and informational
+  // only — the fingerprint ignores them.
+  EXPECT_EQ(metrics->find("sites_decoded")->as_u64(), report.total_sites_decoded);
+  EXPECT_EQ(metrics->find("parent_promotions")->as_u64(), report.total_parent_promotions);
+  EXPECT_EQ(metrics->find("parent_hits")->as_u64(), report.total_parent_hits);
+  EXPECT_GT(report.total_sites_decoded, 0u);
+  EXPECT_GT(report.total_parent_promotions, 0u);
+  EXPECT_GT(report.total_parent_hits, 0u);
+  campaign::CampaignReport perturbed = report;
+  perturbed.trials[0].sites_decoded += 1;
+  perturbed.trials[0].parent_promotions += 1;
+  perturbed.trials[0].parent_hits += 1;
+  EXPECT_EQ(perturbed.fingerprint(), report.fingerprint());
 
   const JsonValue* phases = metrics->find("phase_oracle_runs");
   ASSERT_NE(phases, nullptr);

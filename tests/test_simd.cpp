@@ -420,7 +420,7 @@ std::vector<std::vector<u32>> u64_lut_reference(const fpga::System& sys,
   for (size_t base = 0; base < lanes.size(); base += 64) {
     const auto chunk = lanes.subspan(base, std::min<size_t>(64, lanes.size() - base));
     mapper::BatchLutSimulator sim(sys.snapshot->tape);
-    sim.set_tables(std::span<const u64>(sys.snapshot->golden_tables));
+    sim.set_tables(std::span<const u64>(sys.snapshot->golden_parent->tables));
     for (size_t l = 0; l < chunk.size(); ++l) {
       sim.set_lut_table(chunk[l].lut, static_cast<unsigned>(l), chunk[l].bits);
     }
@@ -432,7 +432,7 @@ std::vector<std::vector<u32>> u64_lut_reference(const fpga::System& sys,
 
 TEST(SimdWideEquivalence, LutSimMatchesU64ReferenceOnTenThousandVectors) {
   const fpga::System& sys = shared_system();
-  const size_t lut_count = sys.snapshot->golden_luts.luts.size();
+  const size_t lut_count = sys.snapshot->golden_parent->luts.luts.size();
   for (const Backend backend : usable_wide_backends()) {
     SCOPED_TRACE(simd::backend_name(backend));
     const unsigned width = simd::backend_lanes(backend);
@@ -443,7 +443,7 @@ TEST(SimdWideEquivalence, LutSimMatchesU64ReferenceOnTenThousandVectors) {
       auto wide = simd::make_wide_lut_sim(sys.snapshot->tape, backend);
       ASSERT_NE(wide, nullptr);
       ASSERT_EQ(wide->lanes(), width);
-      wide->set_tables(sys.snapshot->golden_tables);
+      wide->set_tables(sys.snapshot->golden_parent->tables);
       for (size_t l = 0; l < lanes.size(); ++l) {
         wide->set_lut_table(lanes[l].lut, static_cast<unsigned>(l), lanes[l].bits);
       }
