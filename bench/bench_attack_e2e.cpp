@@ -632,18 +632,6 @@ int main(int argc, char** argv) {
       g_trace_out = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-out") == 0 && has_next) {
       g_metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--simd") == 0 && has_next) {
-      const char* name = argv[++i];
-      const auto backend = sbm::simd::parse_backend(name);
-      if (!backend) {
-        std::fprintf(stderr, "unknown SIMD backend '%s' (want scalar|avx2|avx512)\n", name);
-        return 2;
-      }
-      const sbm::simd::Backend actual = sbm::simd::set_active_backend(*backend);
-      if (actual != *backend) {
-        std::fprintf(stderr, "note: %s unavailable, using %s\n", name,
-                     sbm::simd::backend_name(actual));
-      }
     } else {
       argv[kept++] = argv[i];
     }

@@ -40,8 +40,6 @@ void usage(const char* argv0) {
       "  --words W            keystream words per probe (default 16)\n"
       "  --batch-width W      oracle probes packed per bit-sliced batch, 1-512; clamped\n"
       "                       at runtime to the active SIMD backend's width (default 512)\n"
-      "  --simd BACKEND       force the SIMD backend: scalar|avx2|avx512 (default: widest\n"
-      "                       the host supports; falls back with a note if unavailable)\n"
       "  --no-cache           disable the probe cache\n"
       "  --serial-scan        keep FINDLUT scans single-threaded inside trials\n"
       "  --noise PROFILE      unreliable-hardware model: none|mild|harsh, optional @seed\n"
@@ -109,18 +107,6 @@ int main(int argc, char** argv) {
       if (opt.batch_width == 0 || opt.batch_width > simd::kMaxLanes) {
         std::fprintf(stderr, "--batch-width must be 1-%u\n", simd::kMaxLanes);
         return 2;
-      }
-    } else if (arg == "--simd") {
-      const char* spec = next();
-      const auto backend = simd::parse_backend(spec);
-      if (!backend) {
-        std::fprintf(stderr, "unknown SIMD backend '%s' (want scalar|avx2|avx512)\n", spec);
-        return 2;
-      }
-      const simd::Backend actual = simd::set_active_backend(*backend);
-      if (actual != *backend) {
-        std::fprintf(stderr, "note: %s unavailable on this host/build, using %s\n",
-                     simd::backend_name(*backend), simd::backend_name(actual));
       }
     } else if (arg == "--no-cache") {
       opt.use_probe_cache = false;

@@ -48,13 +48,6 @@ struct FindLutOptions {
   /// Minimum byte positions per shard when a pool is used — small scans are
   /// not worth the fan-out.
   size_t shard_grain = 1 << 14;
-  /// Route scan_family through the pre-engine per-candidate scan
-  /// (scan_family_legacy) instead of the one-pass multi-pattern engine.
-  /// Differential-testing knob: results are bit-identical by contract, so a
-  /// whole pipeline can run against either implementation and must produce
-  /// the same AttackResult (tests/test_scan_engine.cpp enforces this through
-  /// a FaultyOracle-backed attack).
-  bool legacy_scan = false;
 };
 
 struct LutMatch {

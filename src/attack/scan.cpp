@@ -12,7 +12,6 @@ using logic::TargetPath;
 std::vector<FamilyCount> scan_family(std::span<const u8> bitstream,
                                      const std::vector<Candidate>& family,
                                      const FindLutOptions& options) {
-  if (options.legacy_scan) return scan_family_legacy(bitstream, family, options);
   std::vector<logic::TruthTable6> functions;
   functions.reserve(family.size());
   for (const Candidate& c : family) functions.push_back(c.function);

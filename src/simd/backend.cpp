@@ -1,18 +1,10 @@
 #include "simd/backend.h"
 
 #include <atomic>
-#include <cstdlib>
 
 namespace sbm::simd {
 
 namespace {
-
-// -1 = not yet resolved; otherwise the Backend value.  Resolution is
-// idempotent (same env, same CPUID), so a racing double-resolve is harmless.
-std::atomic<int>& active_slot() {
-  static std::atomic<int> slot{-1};
-  return slot;
-}
 
 Backend resolve_usable(Backend requested) {
   return resolve_backend(requested,
@@ -20,11 +12,10 @@ Backend resolve_usable(Backend requested) {
                          compiled(Backend::kAvx512) && host_supports(Backend::kAvx512));
 }
 
-Backend env_backend() {
-  const char* env = std::getenv("SBM_SIMD_BACKEND");
-  if (env == nullptr || *env == '\0') return auto_backend();
-  if (const auto parsed = parse_backend(env)) return resolve_usable(*parsed);
-  return auto_backend();  // unknown value (including "auto"): widest usable
+// The active Backend value, resolved from CPUID on first use.
+std::atomic<int>& active_slot() {
+  static std::atomic<int> slot{static_cast<int>(auto_backend())};
+  return slot;
 }
 
 }  // namespace
@@ -39,13 +30,6 @@ const char* backend_name(Backend b) {
       return "avx512";
   }
   return "scalar";
-}
-
-std::optional<Backend> parse_backend(std::string_view name) {
-  if (name == "scalar" || name == "u64") return Backend::kScalar;
-  if (name == "avx2") return Backend::kAvx2;
-  if (name == "avx512") return Backend::kAvx512;
-  return std::nullopt;
 }
 
 bool compiled(Backend b) {
@@ -72,7 +56,10 @@ bool host_supports(Backend b) {
   if (b == Backend::kScalar) return true;
 #if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
   if (b == Backend::kAvx2) return __builtin_cpu_supports("avx2") != 0;
-  return __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512bw") != 0;
+  // Every feature kernels_avx512.cpp is compiled with (-mavx512f/bw/vl):
+  // the compiler may emit any of them in that TU.
+  return __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("avx512bw") != 0 &&
+         __builtin_cpu_supports("avx512vl") != 0;
 #else
   return false;
 #endif
@@ -90,11 +77,7 @@ Backend best_fit_backend(unsigned lanes, Backend active) {
 }
 
 Backend active_backend() {
-  const int v = active_slot().load(std::memory_order_acquire);
-  if (v >= 0) return static_cast<Backend>(v);
-  const Backend b = env_backend();
-  active_slot().store(static_cast<int>(b), std::memory_order_release);
-  return b;
+  return static_cast<Backend>(active_slot().load(std::memory_order_acquire));
 }
 
 Backend set_active_backend(Backend requested) {

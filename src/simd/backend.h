@@ -2,20 +2,18 @@
 //
 // Three backends cover the bit-sliced simulators: the portable scalar u64
 // reference (64 lanes), AVX2 (256 lanes) and AVX-512 (512 lanes).  A backend
-// is *usable* when its kernels were compiled in (the SBM_SIMD CMake option)
-// AND the host CPU reports the feature; resolution always falls back to the
-// widest usable backend at or below the request, bottoming out at scalar,
-// which is always usable.  Results are bit-identical across backends — the
-// choice is pure wall-clock (tests/test_simd.cpp enforces this).
+// is *usable* when its kernel TU was compiled in (every one the compiler
+// accepts is) AND the host CPU reports the feature; resolution always falls
+// back to the widest usable backend at or below the request, bottoming out
+// at scalar, which is always usable.  Results are bit-identical across
+// backends — the choice is pure wall-clock (tests/test_simd.cpp enforces
+// this).
 //
-// The process-wide active backend is resolved once on first use from the
-// SBM_SIMD_BACKEND environment variable ("scalar" / "avx2" / "avx512" /
-// "auto", default auto = widest usable) and can be overridden by
-// set_active_backend (the campaign/bench `--simd` flag).
+// The process-wide active backend is the widest usable one (CPUID), and the
+// oracle narrows it per chunk with best_fit_backend.  There is no user
+// override; set_active_backend / ScopedBackend exist so tests and the
+// per-backend bench entries can pin a backend in-process.
 #pragma once
-
-#include <optional>
-#include <string_view>
 
 #include "common/bits.h"
 
@@ -33,7 +31,6 @@ constexpr unsigned backend_lanes(Backend b) {
 }
 
 const char* backend_name(Backend b);
-std::optional<Backend> parse_backend(std::string_view name);
 
 /// True when the backend's kernel TU was compiled into this binary.
 bool compiled(Backend b);
@@ -58,8 +55,8 @@ Backend auto_backend();
 /// full-width chunks still get the widest device.
 Backend best_fit_backend(unsigned lanes, Backend active);
 
-/// The process-wide backend the oracle batches with.  First call resolves
-/// SBM_SIMD_BACKEND (unset/unparsable = auto); later calls are lock-free.
+/// The process-wide backend the oracle batches with: auto_backend() unless
+/// set_active_backend pinned another.
 Backend active_backend();
 
 /// Forces the active backend to the best usable backend at or below

@@ -1,7 +1,7 @@
 // Internal: per-backend factory entry points implemented by the kernel TUs.
-// Declared unconditionally; only the TUs selected by the SBM_SIMD CMake
-// option define them, and wide.cpp references each set behind the matching
-// SBM_SIMD_HAS_* macro.
+// Declared unconditionally; only the TUs the compiler accepts are built
+// (src/simd/CMakeLists.txt), and wide.cpp references each one behind the
+// matching SBM_SIMD_HAS_* macro.
 #pragma once
 
 #include "simd/wide.h"
@@ -9,13 +9,6 @@
 namespace sbm::simd {
 
 std::unique_ptr<WideDevice> make_wide_device_avx2(const fpga::System& sys);
-std::unique_ptr<WideNetSim> make_wide_net_sim_avx2(const netlist::Network& net);
-std::unique_ptr<WideLutSim> make_wide_lut_sim_avx2(
-    std::shared_ptr<const mapper::BatchLutTape> tape);
-
 std::unique_ptr<WideDevice> make_wide_device_avx512(const fpga::System& sys);
-std::unique_ptr<WideNetSim> make_wide_net_sim_avx512(const netlist::Network& net);
-std::unique_ptr<WideLutSim> make_wide_lut_sim_avx512(
-    std::shared_ptr<const mapper::BatchLutTape> tape);
 
 }  // namespace sbm::simd

@@ -6,19 +6,8 @@
 
 namespace sbm::simd {
 
-using Avx2Vec = LaneVec<4>;
-
 std::unique_ptr<WideDevice> make_wide_device_avx2(const fpga::System& sys) {
-  return std::make_unique<WideDeviceImpl<Avx2Vec>>(sys);
-}
-
-std::unique_ptr<WideNetSim> make_wide_net_sim_avx2(const netlist::Network& net) {
-  return std::make_unique<WideNetSimImpl<Avx2Vec>>(net);
-}
-
-std::unique_ptr<WideLutSim> make_wide_lut_sim_avx2(
-    std::shared_ptr<const mapper::BatchLutTape> tape) {
-  return std::make_unique<WideLutSimImpl<Avx2Vec>>(std::move(tape));
+  return std::make_unique<WideDeviceImpl<LaneVec<4>>>(sys);
 }
 
 }  // namespace sbm::simd

@@ -7,19 +7,8 @@
 
 namespace sbm::simd {
 
-using Avx512Vec = LaneVec<8>;
-
 std::unique_ptr<WideDevice> make_wide_device_avx512(const fpga::System& sys) {
-  return std::make_unique<WideDeviceImpl<Avx512Vec>>(sys);
-}
-
-std::unique_ptr<WideNetSim> make_wide_net_sim_avx512(const netlist::Network& net) {
-  return std::make_unique<WideNetSimImpl<Avx512Vec>>(net);
-}
-
-std::unique_ptr<WideLutSim> make_wide_lut_sim_avx512(
-    std::shared_ptr<const mapper::BatchLutTape> tape) {
-  return std::make_unique<WideLutSimImpl<Avx512Vec>>(std::move(tape));
+  return std::make_unique<WideDeviceImpl<LaneVec<8>>>(sys);
 }
 
 }  // namespace sbm::simd

@@ -4,7 +4,7 @@
 // (l & 63) of word (l >> 6) is lane l.  `u64` itself is the W=1 case — the
 // portable scalar reference the wider instantiations are equivalence-tested
 // against — and `lane_traits` gives generic simulator code a uniform view of
-// both, so BatchSimulatorT<LV> reads exactly like the original 64-lane code.
+// both, so BatchLutSimulatorT<LV> reads exactly like the original 64-lane code.
 //
 // Storage is a GCC/Clang native vector (vector_size attribute): the bitwise
 // operators compile directly to full-width vector instructions in whichever
@@ -15,7 +15,7 @@
 // them with -mavx2 / -mavx512f so the generic vector ops lower to VPAND /
 // VPTERNLOGQ.  The wide instantiations LaneVec<4>/LaneVec<8> are ODR-used
 // *only* inside those kernel TUs (everything else goes through the
-// type-erased factories in simd/wide.h) — do not instantiate them in TUs
+// type-erased factory in simd/wide.h) — do not instantiate them in TUs
 // compiled without the matching -m flags, or the linker may fold a scalar
 // copy over the vectorized one.
 //

@@ -19,35 +19,4 @@ std::unique_ptr<WideDevice> make_wide_device(const fpga::System& system, Backend
   }
 }
 
-std::unique_ptr<WideNetSim> make_wide_net_sim(const netlist::Network& net, Backend backend) {
-  switch (backend) {
-#if defined(SBM_SIMD_HAS_AVX2)
-    case Backend::kAvx2:
-      return make_wide_net_sim_avx2(net);
-#endif
-#if defined(SBM_SIMD_HAS_AVX512)
-    case Backend::kAvx512:
-      return make_wide_net_sim_avx512(net);
-#endif
-    default:
-      return nullptr;
-  }
-}
-
-std::unique_ptr<WideLutSim> make_wide_lut_sim(std::shared_ptr<const mapper::BatchLutTape> tape,
-                                              Backend backend) {
-  switch (backend) {
-#if defined(SBM_SIMD_HAS_AVX2)
-    case Backend::kAvx2:
-      return make_wide_lut_sim_avx2(std::move(tape));
-#endif
-#if defined(SBM_SIMD_HAS_AVX512)
-    case Backend::kAvx512:
-      return make_wide_lut_sim_avx512(std::move(tape));
-#endif
-    default:
-      return nullptr;
-  }
-}
-
 }  // namespace sbm::simd

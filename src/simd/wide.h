@@ -1,13 +1,13 @@
-// Type-erased access to the 256/512-lane simulator instantiations.
+// Type-erased access to the 256/512-lane batch device instantiations.
 //
-// The wide instantiations of BatchSimulatorT / BatchLutSimulatorT /
-// BatchDeviceT must only be compiled inside the kernel TUs that carry the
-// matching -mavx2 / -mavx512f flags (see simd/lane_vec.h).  Everything else
-// — the oracle's chunk loop, the equivalence tests — reaches them through
-// the virtual interfaces below.  The factories return nullptr when the
-// requested backend's kernels are not compiled into this binary; callers
-// are expected to have resolved the backend first (simd/backend.h), which
-// guarantees a non-null result for the active backend.
+// The wide instantiations of BatchLutSimulatorT / BatchDeviceT must only be
+// compiled inside the kernel TUs that carry the matching -mavx2 / -mavx512f
+// flags (see simd/lane_vec.h).  Everything else — the oracle's chunk loop,
+// the equivalence tests — reaches them through the virtual interface below.
+// The factory returns nullptr when the requested backend's kernels are not
+// compiled into this binary; callers are expected to have resolved the
+// backend first (simd/backend.h), which guarantees a non-null result for
+// the active backend.
 //
 // The virtual-call overhead is irrelevant: every call amortizes over 64-512
 // lanes of simulation work.
@@ -18,15 +18,11 @@
 #include <span>
 #include <vector>
 
-#include "netlist/netlist.h"
 #include "simd/backend.h"
 #include "snow3g/snow3g.h"
 
 namespace sbm::fpga {
 struct System;
-}
-namespace sbm::mapper {
-class BatchLutTape;
 }
 
 namespace sbm::simd {
@@ -41,45 +37,8 @@ class WideDevice {
                                                                  unsigned lanes) = 0;
 };
 
-/// Wide netlist::BatchSimulatorT — for the gate-level differentials.
-class WideNetSim {
- public:
-  virtual ~WideNetSim() = default;
-  virtual unsigned lanes() const = 0;
-  virtual void set_input(netlist::NodeId input, bool value) = 0;
-  virtual void set_input_lane(netlist::NodeId input, unsigned lane, bool value) = 0;
-  virtual void set_input_word_lane(const netlist::Word& w, unsigned lane, u32 value) = 0;
-  virtual void settle() = 0;
-  virtual void clock() = 0;
-  virtual void step() = 0;
-  virtual bool value(netlist::NodeId id, unsigned lane) const = 0;
-  virtual u32 read_word_lane(const netlist::Word& w, unsigned lane) const = 0;
-  virtual void reset() = 0;
-};
-
-/// Wide mapper::BatchLutSimulatorT — for the LUT-level differentials.
-class WideLutSim {
- public:
-  virtual ~WideLutSim() = default;
-  virtual unsigned lanes() const = 0;
-  virtual void set_tables(std::span<const u64> transposed) = 0;
-  virtual void set_lut_table(size_t lut_index, unsigned lane, u64 function_bits) = 0;
-  virtual void set_input(netlist::NodeId input, bool value) = 0;
-  virtual void set_input_lane(netlist::NodeId input, unsigned lane, bool value) = 0;
-  virtual void set_input_word_lane(const netlist::Word& w, unsigned lane, u32 value) = 0;
-  virtual void settle() = 0;
-  virtual void clock() = 0;
-  virtual void step() = 0;
-  virtual bool value(netlist::NodeId id, unsigned lane) const = 0;
-  virtual u32 read_word_lane(const netlist::Word& w, unsigned lane) const = 0;
-  virtual void reset() = 0;
-};
-
-/// Each factory returns nullptr when `backend` is kScalar (use the concrete
-/// 64-lane classes directly) or its kernels are not compiled in.
+/// Returns nullptr when `backend` is kScalar (use the concrete 64-lane
+/// fpga::BatchDevice directly) or its kernels are not compiled in.
 std::unique_ptr<WideDevice> make_wide_device(const fpga::System& system, Backend backend);
-std::unique_ptr<WideNetSim> make_wide_net_sim(const netlist::Network& net, Backend backend);
-std::unique_ptr<WideLutSim> make_wide_lut_sim(std::shared_ptr<const mapper::BatchLutTape> tape,
-                                              Backend backend);
 
 }  // namespace sbm::simd

@@ -1,14 +1,12 @@
-// Template adapters behind the simd/wide.h interfaces.
+// Template adapter behind the simd/wide.h interface.
 //
 // Included ONLY by the kernel TUs (kernels_avx2.cpp, kernels_avx512.cpp):
-// instantiating these templates pulls in the full wide simulator bodies,
+// instantiating this template pulls in the full wide simulator bodies,
 // which must be compiled with the matching -m flags.
 #pragma once
 
 #include "fpga/batch_device.h"
 #include "fpga/system.h"
-#include "mapper/batch_lut_sim.h"
-#include "netlist/batch_sim.h"
 #include "simd/wide.h"
 
 namespace sbm::simd {
@@ -29,61 +27,6 @@ class WideDeviceImpl final : public WideDevice {
 
  private:
   fpga::BatchDeviceT<LV> dev_;
-};
-
-template <class LV>
-class WideNetSimImpl final : public WideNetSim {
- public:
-  explicit WideNetSimImpl(const netlist::Network& net) : sim_(net) {}
-  unsigned lanes() const override { return netlist::BatchSimulatorT<LV>::kLanes; }
-  void set_input(netlist::NodeId input, bool value) override { sim_.set_input(input, value); }
-  void set_input_lane(netlist::NodeId input, unsigned lane, bool value) override {
-    sim_.set_input_lane(input, lane, value);
-  }
-  void set_input_word_lane(const netlist::Word& w, unsigned lane, u32 value) override {
-    sim_.set_input_word_lane(w, lane, value);
-  }
-  void settle() override { sim_.settle(); }
-  void clock() override { sim_.clock(); }
-  void step() override { sim_.step(); }
-  bool value(netlist::NodeId id, unsigned lane) const override { return sim_.value(id, lane); }
-  u32 read_word_lane(const netlist::Word& w, unsigned lane) const override {
-    return sim_.read_word_lane(w, lane);
-  }
-  void reset() override { sim_.reset(); }
-
- private:
-  netlist::BatchSimulatorT<LV> sim_;
-};
-
-template <class LV>
-class WideLutSimImpl final : public WideLutSim {
- public:
-  explicit WideLutSimImpl(std::shared_ptr<const mapper::BatchLutTape> tape)
-      : sim_(std::move(tape)) {}
-  unsigned lanes() const override { return mapper::BatchLutSimulatorT<LV>::kLanes; }
-  void set_tables(std::span<const u64> transposed) override { sim_.set_tables(transposed); }
-  void set_lut_table(size_t lut_index, unsigned lane, u64 function_bits) override {
-    sim_.set_lut_table(lut_index, lane, function_bits);
-  }
-  void set_input(netlist::NodeId input, bool value) override { sim_.set_input(input, value); }
-  void set_input_lane(netlist::NodeId input, unsigned lane, bool value) override {
-    sim_.set_input_lane(input, lane, value);
-  }
-  void set_input_word_lane(const netlist::Word& w, unsigned lane, u32 value) override {
-    sim_.set_input_word_lane(w, lane, value);
-  }
-  void settle() override { sim_.settle(); }
-  void clock() override { sim_.clock(); }
-  void step() override { sim_.step(); }
-  bool value(netlist::NodeId id, unsigned lane) const override { return sim_.value(id, lane); }
-  u32 read_word_lane(const netlist::Word& w, unsigned lane) const override {
-    return sim_.read_word_lane(w, lane);
-  }
-  void reset() override { sim_.reset(); }
-
- private:
-  mapper::BatchLutSimulatorT<LV> sim_;
 };
 
 }  // namespace sbm::simd

@@ -1,11 +1,10 @@
 // Lane-exactness of the bit-sliced simulators: every lane of
-// BatchSimulator / BatchLutSimulator / BatchDevice must equal the scalar
-// Simulator / LutSimulator / Device run with that lane's stimulus and
-// configuration — on thousands of random key/IV/patch vectors, for full and
-// ragged lane counts, and through the Device's incremental-configure fast
-// path (including rejected bitstreams) against every kind of parent image
-// the snapshot can diff a candidate against, with parents promoted and
-// evicted by concurrent chunks.
+// BatchLutSimulator / BatchDevice must equal the scalar LutSimulator /
+// Device run with that lane's stimulus and configuration — on thousands of
+// random key/IV/patch vectors, for full and ragged lane counts, and through
+// the Device's incremental-configure fast path (including rejected
+// bitstreams) against every kind of parent image the snapshot can diff a
+// candidate against, with parents promoted and evicted by concurrent chunks.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -16,8 +15,6 @@
 #include "fpga/system.h"
 #include "mapper/batch_lut_sim.h"
 #include "mapper/lut_network.h"
-#include "netlist/batch_sim.h"
-#include "netlist/sim.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
 #include "simd/wide.h"
@@ -31,8 +28,8 @@ const fpga::System& shared_system() {
 }
 
 /// One keystream transaction — warm-up, load, 32 init rounds, discarded
-/// clock, `words` generated words — on any simulator exposing the scalar
-/// input API (netlist::Simulator, mapper::LutSimulator, or a lane adapter).
+/// clock, `words` generated words — on a simulator exposing the scalar input
+/// API (mapper::LutSimulator).
 template <typename Sim, typename SetWord, typename ReadWord>
 std::vector<u32> drive_keystream(const netlist::Snow3gDesign& design, Sim& sim, SetWord set_word,
                                  ReadWord read_word, const snow3g::Key& key, const snow3g::Iv& iv,
@@ -153,60 +150,6 @@ TEST(BatchLutSim, RaggedLaneCountsMatchScalar) {
   for (const size_t count : {size_t{1}, size_t{7}, size_t{63}}) {
     check_lut_batch(sys, random_lanes(rng, count, sys.snapshot->golden_parent->luts.luts.size()),
                     /*words=*/3);
-  }
-}
-
-TEST(BatchNetlistSim, MatchesScalarSimulatorLaneForLane) {
-  const fpga::System& sys = shared_system();
-  Rng rng(0x5eed);
-  constexpr size_t kLanes = 64;
-  constexpr size_t kWords = 2;
-  std::vector<snow3g::Key> keys(kLanes);
-  std::vector<snow3g::Iv> ivs(kLanes);
-  for (size_t l = 0; l < kLanes; ++l) {
-    keys[l] = {rng.next_u32(), rng.next_u32(), rng.next_u32(), rng.next_u32()};
-    ivs[l] = {rng.next_u32(), rng.next_u32(), rng.next_u32(), rng.next_u32()};
-  }
-
-  netlist::BatchSimulator batch(sys.design.net);
-  for (size_t i = 0; i < 4; ++i) {
-    for (size_t l = 0; l < kLanes; ++l) {
-      batch.set_input_word_lane(sys.design.key[i], static_cast<unsigned>(l), keys[l][i]);
-      batch.set_input_word_lane(sys.design.iv[i], static_cast<unsigned>(l), ivs[l][i]);
-    }
-  }
-  auto drive = [&](bool load, bool init, bool gen) {
-    batch.set_input(sys.design.load, load);
-    batch.set_input(sys.design.init, init);
-    batch.set_input(sys.design.gen, gen);
-  };
-  drive(false, false, false);
-  batch.step();
-  drive(true, false, false);
-  batch.step();
-  for (int round = 0; round < 32; ++round) {
-    drive(false, true, false);
-    batch.step();
-  }
-  drive(false, false, true);
-  batch.step();
-  std::vector<std::vector<u32>> z(kLanes);
-  for (size_t t = 0; t < kWords; ++t) {
-    drive(false, false, true);
-    batch.settle();
-    for (size_t l = 0; l < kLanes; ++l) {
-      z[l].push_back(batch.read_word_lane(sys.design.z, static_cast<unsigned>(l)));
-    }
-    batch.clock();
-  }
-
-  for (size_t l = 0; l < kLanes; ++l) {
-    netlist::Simulator scalar(sys.design.net);
-    const std::vector<u32> expect = drive_keystream(
-        sys.design, scalar,
-        [&](const netlist::Word& w, u32 v) { scalar.set_input_word(w, v); },
-        [&](const netlist::Word& w) { return scalar.read_word(w); }, keys[l], ivs[l], kWords);
-    ASSERT_EQ(z[l], expect) << "lane " << l;
   }
 }
 

@@ -237,35 +237,11 @@ TEST(ScanEngine, IndexCacheReusesCompiledIndexes) {
   EXPECT_EQ(pattern_index_cache_size(), 0u);
 }
 
-TEST(ScanEngine, LegacyScanOptionRoutesToTheReferenceImplementation) {
-  // The legacy_scan knob must dispatch scan_family to scan_family_legacy
-  // verbatim — same option struct, same results — on randomized buffers.
-  const auto family = small_family();
-  Rng seeds(314);
-  for (int trial = 0; trial < 3; ++trial) {
-    auto bytes = random_buffer(8192, seeds.next_u64());
-    for (size_t i = 0; i < family.size(); ++i) {
-      bitstream::write_lut_init(
-          bytes, 200 + i * 1500, 101, bitstream::device_chunk_orders()[i % 2],
-          family[i].function.permuted(logic::all_permutations6()[(i * 41 + trial) % 720]).bits());
-    }
-    FindLutOptions opt;
-    opt.offset_d = 101;
-    FindLutOptions legacy_opt = opt;
-    legacy_opt.legacy_scan = true;
-    expect_same_scan(scan_family(bytes, family, legacy_opt),
-                     scan_family_legacy(bytes, family, opt));
-    expect_same_scan(scan_family(bytes, family, opt), scan_family(bytes, family, legacy_opt));
-  }
-}
-
-// Differential test through the whole pipeline: the same fault-injected
-// attack — randomized victim placement, FaultyOracle noise, voting retries —
-// run once over the one-pass engine and once over the legacy per-candidate
-// scan must produce identical logical AttackResults, at 1 and at 8 worker
-// threads.  This pins the engine/legacy contract where it matters: inside a
-// noisy end-to-end attack, not just on raw buffers.
-TEST(ScanEngine, PipelineDifferentialEngineVsLegacyUnderNoise) {
+// The scan engine inside a noisy end-to-end attack — randomized victim
+// placement, FaultyOracle noise, voting(3) retries — must produce the same
+// logical AttackResult, and the same physical-run ledger, whether its
+// FINDLUT scans run serially or sharded across 8 worker threads.
+TEST(ScanEngine, NoisyVotingPipelineIdenticalAtOneAndEightScanThreads) {
   Rng rng(0xd1ff);
   fpga::SystemOptions sys_opt;
   sys_opt.key = {rng.next_u32(), rng.next_u32(), rng.next_u32(), rng.next_u32()};
@@ -278,45 +254,42 @@ TEST(ScanEngine, PipelineDifferentialEngineVsLegacyUnderNoise) {
 
   std::optional<AttackResult> reference;
   for (const unsigned threads : {1u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     runtime::ThreadPool pool(threads);
     runtime::ThreadPool* shared = threads > 1 ? &pool : nullptr;
-    for (const bool legacy : {false, true}) {
-      SCOPED_TRACE(::testing::Message() << "threads=" << threads << " legacy=" << legacy);
-      DeviceOracle device(sys, iv, shared, 64);
-      faultsim::FaultyOracle faulty(device, noise);
-      runtime::ProbeCache cache;
-      PipelineConfig cfg;
-      cfg.iv = iv;
-      cfg.cache = &cache;
-      cfg.retry = runtime::RetryPolicy::voting(3);
-      cfg.find.pool = shared;
-      cfg.find.legacy_scan = legacy;
-      Attack attack(faulty, sys.golden.bytes, cfg);
-      const AttackResult res = attack.execute();
+    DeviceOracle device(sys, iv, shared, 64);
+    faultsim::FaultyOracle faulty(device, noise);
+    runtime::ProbeCache cache;
+    PipelineConfig cfg;
+    cfg.iv = iv;
+    cfg.cache = &cache;
+    cfg.retry = runtime::RetryPolicy::voting(3);
+    cfg.find.pool = shared;
+    Attack attack(faulty, sys.golden.bytes, cfg);
+    const AttackResult res = attack.execute();
 
-      ASSERT_TRUE(res.success) << res.failure;
-      EXPECT_EQ(res.secrets.key, sys_opt.key);
-      EXPECT_EQ(res.physical_runs, res.oracle_runs + res.retry_runs + res.vote_runs);
-      if (!reference) {
-        reference = res;
-        continue;
-      }
-      // Logical record identical to the engine/1-thread reference run.
-      EXPECT_EQ(res.oracle_runs, reference->oracle_runs);
-      EXPECT_EQ(res.cache_hits, reference->cache_hits);
-      EXPECT_EQ(res.probe_calls, reference->probe_calls);
-      EXPECT_EQ(res.phase_runs, reference->phase_runs);
-      EXPECT_EQ(res.faulty_keystream, reference->faulty_keystream);
-      EXPECT_EQ(res.secrets.key, reference->secrets.key);
-      EXPECT_EQ(res.secrets.iv, reference->secrets.iv);
-      // The physical/noise layer is also a pure function of the probe order,
-      // so even the overhead ledger matches.
-      EXPECT_EQ(res.physical_runs, reference->physical_runs);
-      EXPECT_EQ(res.retry_runs, reference->retry_runs);
-      EXPECT_EQ(res.vote_runs, reference->vote_runs);
-      EXPECT_EQ(res.corruption_detections, reference->corruption_detections);
-      EXPECT_EQ(res.transient_rejections, reference->transient_rejections);
+    ASSERT_TRUE(res.success) << res.failure;
+    EXPECT_EQ(res.secrets.key, sys_opt.key);
+    EXPECT_EQ(res.physical_runs, res.oracle_runs + res.retry_runs + res.vote_runs);
+    if (!reference) {
+      reference = res;
+      continue;
     }
+    // Logical record identical to the 1-thread reference run.
+    EXPECT_EQ(res.oracle_runs, reference->oracle_runs);
+    EXPECT_EQ(res.cache_hits, reference->cache_hits);
+    EXPECT_EQ(res.probe_calls, reference->probe_calls);
+    EXPECT_EQ(res.phase_runs, reference->phase_runs);
+    EXPECT_EQ(res.faulty_keystream, reference->faulty_keystream);
+    EXPECT_EQ(res.secrets.key, reference->secrets.key);
+    EXPECT_EQ(res.secrets.iv, reference->secrets.iv);
+    // The physical/noise layer is also a pure function of the probe order,
+    // so even the overhead ledger matches.
+    EXPECT_EQ(res.physical_runs, reference->physical_runs);
+    EXPECT_EQ(res.retry_runs, reference->retry_runs);
+    EXPECT_EQ(res.vote_runs, reference->vote_runs);
+    EXPECT_EQ(res.corruption_detections, reference->corruption_detections);
+    EXPECT_EQ(res.transient_rejections, reference->transient_rejections);
   }
 }
 

@@ -1,14 +1,15 @@
 // SIMD backend layer: runtime dispatch rules, lane-vector algebra, the
 // bit-matrix transpose used by the wide BRAM path, the flat-map layout of
 // the hot lookup structures, and — the load-bearing contract — bit-exact
-// equivalence of the AVX2/AVX-512 wide simulators with the portable scalar
-// u64 reference, from raw lane differentials up through DeviceOracle
-// batches, the full Section VI attack and the campaign fingerprint.
+// equivalence of the AVX2/AVX-512 wide devices with the portable scalar
+// u64 reference, from lane-by-lane device differentials up through
+// DeviceOracle batches, the full Section VI attack and the campaign
+// fingerprint.
 //
 // Only LaneVec<2> (128-bit, baseline SSE2 on x86-64) is instantiated here:
 // the 256/512-lane vectors are ODR-used exclusively inside the kernel TUs
 // carrying the matching -m flags, and this test reaches them through the
-// type-erased simd::make_wide_* factories like every other client.
+// type-erased simd::make_wide_device factory like every other client.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,10 +20,9 @@
 #include "campaign/campaign.h"
 #include "common/flat_map.h"
 #include "common/rng.h"
+#include "fpga/batch_device.h"
 #include "fpga/device.h"
 #include "fpga/system.h"
-#include "mapper/batch_lut_sim.h"
-#include "netlist/batch_sim.h"
 #include "runtime/probe_cache.h"
 #include "runtime/thread_pool.h"
 #include "simd/backend.h"
@@ -43,7 +43,7 @@ const fpga::System& shared_system() {
 }
 
 /// Wide backends this binary can actually run (compiled in AND supported by
-/// the host).  Empty on non-x86 or SBM_SIMD=OFF builds — the wide
+/// the host).  Empty on non-x86 hosts or compilers without -mavx2 — the wide
 /// equivalence tests then pass vacuously, which is the intended degradation.
 std::vector<Backend> usable_wide_backends() {
   std::vector<Backend> out;
@@ -63,13 +63,20 @@ TEST(SimdDispatch, BackendLanes) {
   EXPECT_EQ(simd::kMaxLanes, 512u);
 }
 
-TEST(SimdDispatch, ParseBackendNames) {
-  EXPECT_EQ(simd::parse_backend("scalar"), Backend::kScalar);
-  EXPECT_EQ(simd::parse_backend("u64"), Backend::kScalar);
-  EXPECT_EQ(simd::parse_backend("avx2"), Backend::kAvx2);
-  EXPECT_EQ(simd::parse_backend("avx512"), Backend::kAvx512);
-  EXPECT_EQ(simd::parse_backend("neon"), std::nullopt);
-  EXPECT_EQ(simd::parse_backend(""), std::nullopt);
+TEST(SimdDispatch, HostSupportCoversEveryAvx512CompileFlag) {
+  // kernels_avx512.cpp is compiled with -mavx512f -mavx512bw -mavx512vl, so
+  // running it needs all three; and an AVX-512 host must also take the
+  // AVX2 device best_fit_backend hands mid-size chunks.
+  EXPECT_TRUE(simd::host_supports(Backend::kScalar));
+#if defined(__x86_64__) || defined(__i386__)
+  const bool all = __builtin_cpu_supports("avx512f") != 0 &&
+                   __builtin_cpu_supports("avx512bw") != 0 &&
+                   __builtin_cpu_supports("avx512vl") != 0;
+  EXPECT_EQ(simd::host_supports(Backend::kAvx512), all);
+  if (simd::host_supports(Backend::kAvx512)) {
+    EXPECT_TRUE(simd::host_supports(Backend::kAvx2));
+  }
+#endif
 }
 
 TEST(SimdDispatch, ResolveBackendTruthTable) {
@@ -134,8 +141,6 @@ TEST(SimdDispatch, ScopedBackendRestores) {
 TEST(SimdDispatch, WideFactoriesDeclineScalarBackend) {
   const fpga::System& sys = shared_system();
   EXPECT_EQ(simd::make_wide_device(sys, Backend::kScalar), nullptr);
-  EXPECT_EQ(simd::make_wide_net_sim(sys.design.net, Backend::kScalar), nullptr);
-  EXPECT_EQ(simd::make_wide_lut_sim(sys.snapshot->tape, Backend::kScalar), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -352,133 +357,58 @@ TEST(ProbeCacheFlatMap, AccountingParityAgainstReferenceMap) {
 }
 
 // ---------------------------------------------------------------------------
-// Wide-simulator differentials against the scalar u64 reference
+// Wide-device differentials against the scalar u64 reference
 
-struct LaneVector {
-  snow3g::Key key{};
-  snow3g::Iv iv{};
-  size_t lut = 0;  // mapped-LUT index whose table this lane overrides
-  u64 bits = 0;    // override function bits
-};
-
-std::vector<LaneVector> random_lanes(Rng& rng, size_t count, size_t lut_count) {
-  std::vector<LaneVector> lanes(count);
-  for (LaneVector& l : lanes) {
-    l.key = {rng.next_u32(), rng.next_u32(), rng.next_u32(), rng.next_u32()};
-    l.iv = {rng.next_u32(), rng.next_u32(), rng.next_u32(), rng.next_u32()};
-    l.lut = rng.next_u64() % lut_count;
-    l.bits = rng.next_u64();
-  }
-  return lanes;
-}
-
-/// Drives one keystream transaction on any batch simulator exposing the
-/// common lane API (BatchLutSimulator, BatchSimulator, WideLutSim,
-/// WideNetSim) and returns `words` z-words per lane.
-template <typename Sim>
-std::vector<std::vector<u32>> drive_lanes(const fpga::System& sys, Sim& sim,
-                                          std::span<const LaneVector> lanes, size_t words) {
-  for (size_t i = 0; i < 4; ++i) {
-    for (size_t l = 0; l < lanes.size(); ++l) {
-      sim.set_input_word_lane(sys.design.key[i], static_cast<unsigned>(l), lanes[l].key[i]);
-      sim.set_input_word_lane(sys.design.iv[i], static_cast<unsigned>(l), lanes[l].iv[i]);
+/// `count` CRC-disabled candidates, each with random key bytes and one
+/// random LUT site rewritten to random INIT bits.
+std::vector<std::vector<u8>> random_candidates(const fpga::System& sys, Rng& rng,
+                                               size_t count) {
+  std::vector<u8> nocrc = sys.golden.bytes;
+  bitstream::disable_crc(nocrc);
+  std::vector<std::vector<u8>> out;
+  out.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    std::vector<u8> bytes = nocrc;
+    for (size_t b = 0; b < 16; ++b) {
+      bytes[sys.golden.layout.key_byte_index() + b] = static_cast<u8>(rng.next_u64());
     }
-  }
-  auto drive = [&](bool load, bool init, bool gen) {
-    sim.set_input(sys.design.load, load);
-    sim.set_input(sys.design.init, init);
-    sim.set_input(sys.design.gen, gen);
-  };
-  drive(false, false, false);
-  sim.step();
-  drive(true, false, false);
-  sim.step();
-  for (int round = 0; round < 32; ++round) {
-    drive(false, true, false);
-    sim.step();
-  }
-  drive(false, false, true);
-  sim.step();
-  std::vector<std::vector<u32>> z(lanes.size());
-  for (size_t t = 0; t < words; ++t) {
-    drive(false, false, true);
-    sim.settle();
-    for (size_t l = 0; l < lanes.size(); ++l) {
-      z[l].push_back(sim.read_word_lane(sys.design.z, static_cast<unsigned>(l)));
-    }
-    sim.clock();
-  }
-  return z;
-}
-
-/// Reference outputs via the equivalence-tested u64 BatchLutSimulator,
-/// 64 lanes at a time.
-std::vector<std::vector<u32>> u64_lut_reference(const fpga::System& sys,
-                                                std::span<const LaneVector> lanes,
-                                                size_t words) {
-  std::vector<std::vector<u32>> out;
-  for (size_t base = 0; base < lanes.size(); base += 64) {
-    const auto chunk = lanes.subspan(base, std::min<size_t>(64, lanes.size() - base));
-    mapper::BatchLutSimulator sim(sys.snapshot->tape);
-    sim.set_tables(std::span<const u64>(sys.snapshot->golden_parent->tables));
-    for (size_t l = 0; l < chunk.size(); ++l) {
-      sim.set_lut_table(chunk[l].lut, static_cast<unsigned>(l), chunk[l].bits);
-    }
-    auto z = drive_lanes(sys, sim, chunk, words);
-    out.insert(out.end(), z.begin(), z.end());
+    const size_t site = rng.next_u64() % sys.placed.phys.size();
+    bitstream::write_lut_init(bytes, sys.golden.layout.site_byte_index(site),
+                              bitstream::Layout::chunk_stride(),
+                              bitstream::chunk_order(sys.placed.slice_of(site)), rng.next_u64());
+    out.push_back(std::move(bytes));
   }
   return out;
 }
 
-TEST(SimdWideEquivalence, LutSimMatchesU64ReferenceOnTenThousandVectors) {
+TEST(SimdWideEquivalence, DeviceMatchesU64ReferenceOnTenThousandVectors) {
   const fpga::System& sys = shared_system();
-  const size_t lut_count = sys.snapshot->golden_parent->luts.luts.size();
   for (const Backend backend : usable_wide_backends()) {
     SCOPED_TRACE(simd::backend_name(backend));
     const unsigned width = simd::backend_lanes(backend);
     Rng rng(0x10c0 + static_cast<u64>(backend));
     size_t vectors = 0;
     while (vectors < 10000) {
-      const auto lanes = random_lanes(rng, width, lut_count);
-      auto wide = simd::make_wide_lut_sim(sys.snapshot->tape, backend);
+      const auto candidates = random_candidates(sys, rng, width);
+      auto wide = simd::make_wide_device(sys, backend);
       ASSERT_NE(wide, nullptr);
       ASSERT_EQ(wide->lanes(), width);
-      wide->set_tables(sys.snapshot->golden_parent->tables);
-      for (size_t l = 0; l < lanes.size(); ++l) {
-        wide->set_lut_table(lanes[l].lut, static_cast<unsigned>(l), lanes[l].bits);
+      for (unsigned l = 0; l < width; ++l) {
+        ASSERT_TRUE(wide->configure_lane(l, candidates[l])) << "lane " << l;
       }
-      const auto got = drive_lanes(sys, *wide, lanes, /*words=*/2);
-      const auto expect = u64_lut_reference(sys, lanes, /*words=*/2);
-      for (size_t l = 0; l < lanes.size(); ++l) {
-        ASSERT_EQ(got[l], expect[l]) << "lane " << l << " of " << width;
+      const auto got = wide->keystream(kHostIv, /*n=*/2, width);
+      ASSERT_EQ(got.size(), width);
+      for (unsigned base = 0; base < width; base += fpga::BatchDevice::kLanes) {
+        fpga::BatchDevice ref = sys.make_batch_device();
+        for (unsigned l = 0; l < fpga::BatchDevice::kLanes; ++l) {
+          ASSERT_TRUE(ref.configure_lane(l, candidates[base + l])) << "lane " << base + l;
+        }
+        const auto expect = ref.keystream(kHostIv, /*n=*/2, fpga::BatchDevice::kLanes);
+        for (unsigned l = 0; l < fpga::BatchDevice::kLanes; ++l) {
+          ASSERT_EQ(got[base + l], expect[l]) << "lane " << base + l << " of " << width;
+        }
       }
       vectors += width;
-    }
-  }
-}
-
-TEST(SimdWideEquivalence, NetSimMatchesU64Reference) {
-  const fpga::System& sys = shared_system();
-  for (const Backend backend : usable_wide_backends()) {
-    SCOPED_TRACE(simd::backend_name(backend));
-    const unsigned width = simd::backend_lanes(backend);
-    Rng rng(0x2e75 + static_cast<u64>(backend));
-    // No LUT overrides here: the gate-level netlist exercises the BRAM
-    // transpose path and the raw op kernels.
-    auto lanes = random_lanes(rng, width, /*lut_count=*/1);
-    auto wide = simd::make_wide_net_sim(sys.design.net, backend);
-    ASSERT_NE(wide, nullptr);
-    const auto got = drive_lanes(sys, *wide, lanes, /*words=*/3);
-    std::vector<std::vector<u32>> expect;
-    for (size_t base = 0; base < lanes.size(); base += 64) {
-      const auto chunk =
-          std::span<const LaneVector>(lanes).subspan(base, std::min<size_t>(64, width - base));
-      netlist::BatchSimulator sim(sys.design.net);
-      auto z = drive_lanes(sys, sim, chunk, /*words=*/3);
-      expect.insert(expect.end(), z.begin(), z.end());
-    }
-    for (size_t l = 0; l < lanes.size(); ++l) {
-      ASSERT_EQ(got[l], expect[l]) << "lane " << l;
     }
   }
 }
