@@ -133,26 +133,10 @@ CrackLoopStats run_crack_loop(DecoyHypothesisSet& hyp, const CrackProbeFn& probe
   return stats;
 }
 
-namespace {
-
-ProbeSessionConfig session_config(const CrackerConfig& config) {
-  ProbeSessionConfig sc;
-  sc.words = config.words;
-  sc.crc = config.crc;
-  sc.offset_d = config.find.offset_d;
-  sc.cache = config.cache;
-  sc.retry = config.retry;
-  sc.controller = config.controller;
-  sc.adaptive = config.adaptive;
-  return sc;
-}
-
-}  // namespace
-
 Cracker::Cracker(Oracle& oracle, std::span<const u8> golden, const CrackerConfig& config)
     : oracle_(oracle),
       config_(config),
-      session_(oracle, session_config(config)),
+      session_(oracle, config),
       golden_(golden.begin(), golden.end()) {}
 
 CrackResult Cracker::execute() {

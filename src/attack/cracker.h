@@ -138,15 +138,9 @@ struct CrackLoopStats {
 /// is a pure function of the hypothesis state.
 CrackLoopStats run_crack_loop(DecoyHypothesisSet& hyp, const CrackProbeFn& probe);
 
-struct CrackerConfig {
-  size_t words = 16;  // keystream words per probe (>= 16 keeps the 65
-                      // reference classes pairwise distinct)
-  FindLutOptions find;
-  CrcHandling crc = CrcHandling::kDisable;
-  runtime::ProbeCache* cache = nullptr;
-  runtime::RetryPolicy retry;
-  runtime::ControllerKind controller = runtime::ControllerKind::kStatic;
-  runtime::AdaptiveConfig adaptive;
+/// The shared probe policy plus checkpoint resume.  `words` >= 16 keeps the
+/// 65 reference classes pairwise distinct.
+struct CrackerConfig : ProbeSessionConfig {
   /// Settled probes from a prior partial run (checkpoint resume); requires
   /// `cache`.  Identical probes are then answered without touching the
   /// board, so a resumed crack re-pays zero settled probes.

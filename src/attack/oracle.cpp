@@ -53,16 +53,24 @@ std::vector<ProbeOutcome> DeviceOracle::run_batch(
   // each call clamps to the lanes the active backend actually offers.
   const simd::Backend backend = simd::active_backend();
   const unsigned width = std::clamp(batch_width_, 1u, simd::backend_lanes(backend));
-  if (width == 1 || system_.snapshot == nullptr) {
-    // Pure scalar reference path (also the fallback when the system carries
-    // no snapshot, e.g. hand-built test fixtures).
+  if (width == 1) {
+    // Pure scalar reference path.
     obs::Span span("oracle", "batch_scalar", "probes", n);
     singleton_run_counter().add(n);
     for (size_t i = 0; i < n; ++i) out[i] = run_one(bitstreams[i], words);
   } else {
-    const size_t chunks = runtime::chunk_count(n, width);
+    // One chunk on a u64 or wide batch device: configure its lanes, run once.
+    auto fill = [&](auto& dev, size_t begin, unsigned lanes) {
+      for (unsigned lane = 0; lane < lanes; ++lane) {
+        dev.configure_lane(lane, bitstreams[begin + lane]);
+      }
+      auto ks = dev.keystream(iv_, words, lanes);
+      for (unsigned lane = 0; lane < lanes; ++lane) {
+        out[begin + lane] = ProbeOutcome(std::move(ks[lane]));
+      }
+    };
     runtime::parallel_for(
-        pool_, chunks,
+        pool_, runtime::chunk_count(n, width),
         [&](size_t c) {
           const size_t begin = c * width;
           const unsigned lanes = static_cast<unsigned>(std::min<size_t>(width, n - begin));
@@ -74,31 +82,17 @@ std::vector<ProbeOutcome> DeviceOracle::run_batch(
             // keeps straggler re-reads off the scalar singleton path.
             // A ragged tail (or a narrow width) fits the scalar u64 device.
             fpga::BatchDevice dev = system_.make_batch_device();
-            for (unsigned lane = 0; lane < lanes; ++lane) {
-              dev.configure_lane(lane, bitstreams[begin + lane]);
-            }
-            auto ks = dev.keystream(iv_, words, lanes);
-            for (unsigned lane = 0; lane < lanes; ++lane) {
-              out[begin + lane] = ProbeOutcome(std::move(ks[lane]));
-            }
-            return;
-          }
-          auto dev = simd::make_wide_device(system_, simd::best_fit_backend(lanes, backend));
-          if (dev == nullptr) {
+            fill(dev, begin, lanes);
+          } else if (auto dev = simd::make_wide_device(system_,
+                                                       simd::best_fit_backend(lanes, backend))) {
+            fill(*dev, begin, lanes);
+          } else {
             // Unreachable once width was clamped to the resolved backend;
             // kept as a safe serial fallback rather than an assert.
             singleton_run_counter().add(lanes);
             for (unsigned lane = 0; lane < lanes; ++lane) {
               out[begin + lane] = run_one(bitstreams[begin + lane], words);
             }
-            return;
-          }
-          for (unsigned lane = 0; lane < lanes; ++lane) {
-            dev->configure_lane(lane, bitstreams[begin + lane]);
-          }
-          auto ks = dev->keystream(iv_, words, lanes);
-          for (unsigned lane = 0; lane < lanes; ++lane) {
-            out[begin + lane] = ProbeOutcome(std::move(ks[lane]));
           }
         },
         /*min_grain=*/1);
@@ -111,7 +105,6 @@ std::vector<ProbeOutcome> DeviceOracle::run_batch(
 }
 
 unsigned DeviceOracle::batch_lanes() const {
-  if (system_.snapshot == nullptr) return 1;  // scalar fallback path
   return std::clamp(batch_width_, 1u, simd::backend_lanes(simd::active_backend()));
 }
 

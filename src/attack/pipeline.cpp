@@ -22,33 +22,10 @@ using logic::TruthTable6;
 using runtime::ProbeError;
 using runtime::ProbeOutcome;
 
-namespace {
-
-/// Key-independent reference keystreams simulated with the attacker's own
-/// software model of SNOW 3G.  Key/IV values are irrelevant: the zero-load
-/// fault makes every one of these sequences constant.
-std::vector<u32> reference(snow3g::FaultConfig faults, size_t words) {
-  return model_reference(faults, words);
-}
-
-ProbeSessionConfig session_config(const PipelineConfig& config) {
-  ProbeSessionConfig sc;
-  sc.words = config.words;
-  sc.crc = config.crc;
-  sc.offset_d = config.find.offset_d;
-  sc.cache = config.cache;
-  sc.retry = config.retry;
-  sc.controller = config.controller;
-  sc.adaptive = config.adaptive;
-  return sc;
-}
-
-}  // namespace
-
 Attack::Attack(Oracle& oracle, std::span<const u8> golden_bitstream, PipelineConfig config)
     : oracle_(oracle),
       config_(config),
-      session_(oracle, session_config(config)),
+      session_(oracle, config),
       golden_(golden_bitstream.begin(), golden_bitstream.end()) {}
 
 void Attack::note(std::string message) {
@@ -309,9 +286,9 @@ bool Attack::phase_feedback(AttackResult& result) {
   // injection cut on exactly one bit, simulated with the attacker's model.
   std::map<std::vector<u32>, unsigned> signature_to_bit;
   for (unsigned i = 0; i < 32; ++i) {
-    signature_to_bit.emplace(reference({u32{1} << i, false, true}, config_.words), i);
+    signature_to_bit.emplace(model_reference({u32{1} << i, false, true}, config_.words), i);
   }
-  const std::vector<u32> no_effect = reference({0, false, true}, config_.words);
+  const std::vector<u32> no_effect = model_reference({0, false, true}, config_.words);
   const std::vector<u8> base_beta = with_patches(base_, beta_patches_);
 
   std::set<unsigned> covered;
@@ -520,7 +497,7 @@ bool Attack::phase_feedback(AttackResult& result) {
   const auto z = probe(with_patches(base_beta, all));
   if (lost(result)) return false;
   const std::vector<u32> table3 =
-      reference(snow3g::FaultConfig::key_independent(), config_.words);
+      model_reference(snow3g::FaultConfig::key_independent(), config_.words);
   if (!z || *z != table3) {
     result.failure = "combined feedback cut does not reproduce the Table III keystream";
     return false;

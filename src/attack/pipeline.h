@@ -53,33 +53,11 @@ namespace sbm::attack {
 
 struct AttackCheckpoint;
 
-struct PipelineConfig {
-  size_t words = 16;  // keystream words per probe (the paper's w)
-  /// `find.pool` also shards every family scan of the pipeline; results are
-  /// identical for any thread count (see src/runtime/parallel.h).
-  FindLutOptions find;
+/// The shared probe policy plus what only the key-recovery pipeline needs.
+struct PipelineConfig : ProbeSessionConfig {
   /// Attacker-known IV the host uses (public parameter); needed only for
   /// the final confirmation of the recovered key.
   snow3g::Iv iv{};
-  CrcHandling crc = CrcHandling::kDisable;
-  /// Optional probe cache: byte-identical patched bitstreams skip the
-  /// simulated reconfiguration.  Hits are counted in AttackResult::cache_hits,
-  /// never in oracle_runs — the paper's cost metric stays honest.  Only
-  /// confirmed results (agreement-voted values, persistent rejections) are
-  /// ever stored, so a corrupt first read cannot poison later hits.
-  runtime::ProbeCache* cache = nullptr;
-  /// Retry/vote budget per logical probe.  The default is single-shot (no
-  /// overhead, byte-identical to the pre-fault-model pipeline); use
-  /// runtime::RetryPolicy::voting() against flaky hardware.
-  runtime::RetryPolicy retry;
-  /// Confirmation controller (DESIGN.md §4j).  kStatic runs `retry` as the
-  /// classic r-repetition vote; kAdaptive replaces it with the sequential
-  /// test configured by `adaptive` (stops at 2 agreeing reads on a
-  /// mildly-noisy board instead of always paying for `confirm`).
-  runtime::ControllerKind controller = runtime::ControllerKind::kStatic;
-  /// Tuning for the adaptive controller; ignored by kStatic.  Seed it from
-  /// a known noise profile with faultsim::adaptive_config_for().
-  runtime::AdaptiveConfig adaptive;
   /// Resume from a prior partial run: the checkpoint's salvaged probe
   /// outcomes (AttackCheckpoint::probes) are pre-seeded into `cache` before
   /// the first phase, so probes the dead board already answered are never

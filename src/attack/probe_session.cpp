@@ -144,24 +144,7 @@ ProbeOutcome ProbeSession::finalize(ProbeOutcome outcome) {
 }
 
 ProbeOutcome ProbeSession::probe(const std::vector<u8>& bytes) {
-  ++probe_calls_;
-  const std::span<const std::vector<u8>> one(&bytes, 1);
-  if (config_.cache == nullptr) {
-    ++paper_runs_;
-    return finalize(std::move(confirm_batch(one)[0]));
-  }
-  const runtime::ProbeKey key = runtime::make_probe_key(bytes, config_.words);
-  if (auto cached = config_.cache->lookup(key)) {
-    ++cache_hits_;
-    return ProbeOutcome(std::move(*cached));
-  }
-  ++paper_runs_;
-  ProbeOutcome result = std::move(confirm_batch(one)[0]);
-  if (cacheable(result)) {
-    config_.cache->store(key, result.to_optional());
-    salvage(key.hi, key.lo, result);
-  }
-  return finalize(std::move(result));
+  return std::move(probe_batch({&bytes, 1})[0]);
 }
 
 void ProbeSession::salvage(u64 key_hi, u64 key_lo, const ProbeOutcome& outcome) {
@@ -252,7 +235,7 @@ std::vector<u8> ProbeSession::with_patches(const std::vector<u8>& base,
                                            const std::vector<Patch>& patches) const {
   std::vector<u8> bytes = base;
   for (const Patch& p : patches) {
-    bitstream::write_lut_init(bytes, p.byte_index, config_.offset_d, p.order, p.init);
+    bitstream::write_lut_init(bytes, p.byte_index, config_.find.offset_d, p.order, p.init);
   }
   // In recompute mode every probe carries a valid CRC (Section V-B's first
   // option); in disable mode the caller's base already has the check removed.

@@ -63,16 +63,27 @@ struct SavedProbe {
   bool operator==(const SavedProbe&) const = default;
 };
 
+/// The attacker's probe policy, shared by every oracle-guided engine
+/// (PipelineConfig and CrackerConfig derive from it).
 struct ProbeSessionConfig {
   size_t words = 16;  // keystream words per probe (the paper's w)
   CrcHandling crc = CrcHandling::kDisable;
-  /// LUT sub-vector stride (FindLutOptions::offset_d) used by with_patches.
-  size_t offset_d = bitstream::Layout::chunk_stride();
-  /// Optional probe cache; hits never count toward oracle_runs.
+  /// FINDLUT geometry and pool.  `find.pool` also shards every family scan;
+  /// results are identical for any thread count (see src/runtime/parallel.h).
+  /// with_patches writes LUT sub-vectors at `find.offset_d`.
+  FindLutOptions find;
+  /// Optional probe cache: byte-identical patched bitstreams skip the
+  /// simulated reconfiguration.  Hits never count toward oracle_runs, and
+  /// only confirmed results (agreement-voted values, persistent rejections)
+  /// are ever stored, so a corrupt first read cannot poison later hits.
   runtime::ProbeCache* cache = nullptr;
-  /// Retry/vote budget per logical probe (single-shot by default).
+  /// Retry/vote budget per logical probe.  The default is single-shot (no
+  /// overhead); use runtime::RetryPolicy::voting() against flaky hardware.
   runtime::RetryPolicy retry;
-  /// Confirmation controller (DESIGN.md §4j).
+  /// Confirmation controller (DESIGN.md §4j).  kStatic runs `retry` as the
+  /// classic r-repetition vote; kAdaptive replaces it with the sequential
+  /// test configured by `adaptive` (ignored by kStatic; seed it from a known
+  /// noise profile with faultsim::adaptive_config_for()).
   runtime::ControllerKind controller = runtime::ControllerKind::kStatic;
   runtime::AdaptiveConfig adaptive;
 };
@@ -84,17 +95,16 @@ class ProbeSession {
   ProbeSession(Oracle& oracle, const ProbeSessionConfig& config);
   ~ProbeSession();
 
-  /// One *logical* probe: cache lookup, then a confirmed read — the retry
-  /// policy absorbs transient errors and agreement-votes noisy values.  The
-  /// outcome is a value, a persistent (genuine) rejection, or a fatal error
-  /// that also latches fatal() so the caller can stop.
-  runtime::ProbeOutcome probe(const std::vector<u8>& bytes);
-  /// Batch counterpart of probe(): element i is probe(batch[i]).  Probes
-  /// with no result dependency between them go through the oracle's batch
-  /// interface; the cache (when configured) is consulted per element and
-  /// in-batch duplicates of a miss resolve as hits, exactly as the serial
-  /// order would.
+  /// Logical probes: per element a cache lookup, then for the misses one
+  /// confirmed read each — the controller absorbs transient errors and
+  /// agreement-votes noisy values — issued together through the oracle's
+  /// batch interface.  Element i is a value, a persistent (genuine)
+  /// rejection, or a fatal error that also latches fatal() so the caller
+  /// can stop.  In-batch duplicates of a miss resolve as hits, exactly as
+  /// probing the elements one by one would.
   std::vector<runtime::ProbeOutcome> probe_batch(std::span<const std::vector<u8>> batch);
+  /// probe_batch of one element.
+  runtime::ProbeOutcome probe(const std::vector<u8>& bytes);
 
   /// Applies LUT rewrites to a copy of `base`; in recompute mode the CRC is
   /// fixed up so every probe carries a valid check (Section V-B).

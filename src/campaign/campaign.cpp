@@ -19,21 +19,12 @@
 
 namespace sbm::campaign {
 
-namespace {
-
-bool is_protected_trial(const CampaignOptions& options, size_t index) {
-  return options.protected_every != 0 && index % options.protected_every ==
-                                             options.protected_every - 1;
-}
-
-}  // namespace
-
 TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::ThreadPool* pool) {
   const auto start = std::chrono::steady_clock::now();
   obs::Span span("campaign", "trial", "index", index);
   TrialOutcome out;
   out.index = index;
-  out.trial_seed = mix64(options.seed ^ (0x9e3779b97f4a7c15ull * (index + 1)));
+  out.trial_seed = trial_seed(options, index);
   out.crack = options.kind == "crack";
   // A crack trial always targets a protected victim — that is what it is
   // disambiguating; `equalized` picks the strengthened variant.
@@ -86,29 +77,26 @@ TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::Th
   // Shared probe-layer policy for both trial kinds.  A fleet needs a
   // retrying policy even under quiet noise: migration is driven by the retry
   // layer re-demanding the timeouts a dying board left.
-  runtime::RetryPolicy retry;
+  attack::ProbeSessionConfig policy;
+  policy.words = options.words;
+  if (options.use_probe_cache) policy.cache = &cache;
+  if (options.scan_parallel) policy.find.pool = pool;
   if (noisy) {
-    retry = runtime::RetryPolicy::voting(3);
+    policy.retry = runtime::RetryPolicy::voting(3);
   } else if (fleet) {
-    retry = runtime::RetryPolicy::voting(1);
+    policy.retry = runtime::RetryPolicy::voting(1);
   }
-  runtime::AdaptiveConfig adaptive;
+  policy.controller = options.controller;
   if (options.controller == runtime::ControllerKind::kAdaptive) {
     // The profile's rates are campaign knowledge, so seed the sequential
     // test's corruption prior from them (the per-trial seed only moves the
     // noise stream, never the rates).
-    adaptive = faultsim::adaptive_config_for(noise, options.words);
+    policy.adaptive = faultsim::adaptive_config_for(noise, options.words);
   }
 
   if (out.crack) {
-    attack::CrackerConfig cfg;
-    cfg.words = options.words;
-    if (options.use_probe_cache) cfg.cache = &cache;
-    if (options.scan_parallel) cfg.find.pool = pool;
-    cfg.retry = retry;
-    cfg.controller = options.controller;
-    cfg.adaptive = adaptive;
-    attack::Cracker cracker(oracle, sys.golden.bytes, cfg);
+    attack::Cracker cracker(oracle, sys.golden.bytes,
+                            attack::CrackerConfig{policy, /*resume=*/{}});
     const attack::CrackResult res = cracker.execute();
 
     out.attack_success = res.success;
@@ -134,14 +122,8 @@ TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::Th
     out.corruption_detections = res.retry_stats.corruptions;
     out.transient_rejections = res.retry_stats.transient_rejections;
   } else {
-    attack::PipelineConfig cfg;
-    cfg.words = options.words;
+    attack::PipelineConfig cfg{policy};
     cfg.iv = iv;
-    if (options.use_probe_cache) cfg.cache = &cache;
-    if (options.scan_parallel) cfg.find.pool = pool;
-    cfg.retry = retry;
-    cfg.controller = options.controller;
-    cfg.adaptive = adaptive;
     attack::Attack attack(oracle, sys.golden.bytes, cfg);
     const attack::AttackResult res = attack.execute();
 

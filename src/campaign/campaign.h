@@ -224,6 +224,19 @@ struct CampaignReport {
   void write_metrics(JsonWriter& w) const;
 };
 
+/// Trial `index`'s seed: every draw of the trial (victim key, placement,
+/// host IV, noise stream) derives from it and nothing else.
+constexpr u64 trial_seed(const CampaignOptions& options, size_t index) {
+  return mix64(options.seed ^ (0x9e3779b97f4a7c15ull * (index + 1)));
+}
+
+/// Whether trial `index` is one of the every-protected_every-th attack
+/// trials that build the Section VII protected variant.
+constexpr bool is_protected_trial(const CampaignOptions& options, size_t index) {
+  return options.protected_every != 0 &&
+         index % options.protected_every == options.protected_every - 1;
+}
+
 /// Runs one trial (exposed for tests).  `pool` may be null (serial scans).
 TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::ThreadPool* pool);
 

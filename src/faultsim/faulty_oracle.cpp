@@ -16,12 +16,6 @@ obs::Counter& injected_fault_counter() {
   return c;
 }
 
-constexpr u64 mix64(u64 z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 /// Bernoulli(rate) from one u64 draw: compare against rate * 2^64.
 bool chance(Rng& rng, double rate) {
   if (rate <= 0) return false;

@@ -23,8 +23,6 @@
 #include <span>
 #include <vector>
 
-#include "bitstream/parser.h"
-#include "bitstream/patcher.h"
 #include "fpga/snapshot.h"
 
 namespace sbm::fpga {
@@ -88,61 +86,30 @@ bool BatchDeviceT<LV>::configure_lane(unsigned lane, std::span<const u8> bytes) 
     return true;
   }
 
-  // Full-parse fallback: identical acceptance criteria to Device::configure.
-  const bitstream::ParseResult parsed = bitstream::parse_bitstream(bytes);
-  if (!parsed.ok ||
-      parsed.frame_data.size() < layout_.frame_count * bitstream::kFrameBytes) {
-    simd::set_lane(ok_mask_, lane, false);
-    return false;
-  }
-  for (size_t site = 0; site < placed_.phys.size(); ++site) {
-    const size_t l = layout_.site_byte_index(site) - layout_.fdri_byte_offset;
-    const auto order = bitstream::chunk_order(placed_.slice_of(site));
-    const u64 init = bitstream::read_lut_init(parsed.frame_data, l,
-                                              bitstream::Layout::chunk_stride(), order);
-    // The lane starts from the base's tables, so only functions that differ
-    // from the base's need a lane write.
-    for_each_site_lut(placed_, site, init, [&](size_t lut, const logic::TruthTable6& f) {
-      if (f != base_->luts.luts[lut].function) sim_.set_lut_table(lut, lane, f.bits());
-    });
-  }
-  snap_.note_sites_decoded(placed_.phys.size());
-  const size_t key_off = layout_.key_byte_index() - layout_.fdri_byte_offset;
-  for (size_t w = 0; w < 4; ++w) {
-    keys_[lane][w] = load_be32(parsed.frame_data.data() + key_off + 4 * w);
-  }
-  simd::set_lane(ok_mask_, lane, true);
-  return true;
+  // Full-parse fallback: Device::configure's decoder.  The lane starts from
+  // the base's tables, so only functions that differ from the base's need a
+  // lane write.
+  const bool ok = decode_configuration(placed_, layout_, bytes, keys_[lane],
+                                       [&](size_t lut, const logic::TruthTable6& f) {
+                                         if (f != base_->luts.luts[lut].function) {
+                                           sim_.set_lut_table(lut, lane, f.bits());
+                                         }
+                                       }).empty();
+  if (ok) snap_.note_sites_decoded(placed_.phys.size());
+  simd::set_lane(ok_mask_, lane, ok);
+  return ok;
 }
 
 template <class LV>
 std::vector<std::optional<std::vector<u32>>> BatchDeviceT<LV>::keystream(const snow3g::Iv& iv,
                                                                          size_t n,
                                                                          unsigned lanes) {
-  // Same drive sequence as Device::keystream, lane-sliced.  Rejected lanes
-  // run on whatever tables they hold (the base's + any partial fallback
-  // writes); their results are discarded below.
+  // Rejected lanes run on the base's tables; their results are discarded.
   sim_.reset();
   for (unsigned lane = 0; lane < lanes; ++lane) {
     for (size_t i = 0; i < 4; ++i) sim_.set_input_word_lane(design_.key[i], lane, keys_[lane][i]);
   }
   for (size_t i = 0; i < 4; ++i) sim_.set_input_word(design_.iv[i], iv[i]);
-  auto drive = [&](bool load, bool init, bool gen) {
-    sim_.set_input(design_.load, load);
-    sim_.set_input(design_.init, init);
-    sim_.set_input(design_.gen, gen);
-  };
-  drive(false, false, false);
-  sim_.step();
-  drive(true, false, false);
-  sim_.step();
-  for (int round = 0; round < 32; ++round) {
-    drive(false, true, false);
-    sim_.step();
-  }
-  drive(false, false, true);
-  sim_.step();  // discarded clock
-
   std::vector<std::optional<std::vector<u32>>> out(lanes);
   for (unsigned lane = 0; lane < lanes; ++lane) {
     if (simd::get_lane(ok_mask_, lane)) {
@@ -150,14 +117,11 @@ std::vector<std::optional<std::vector<u32>>> BatchDeviceT<LV>::keystream(const s
       out[lane]->reserve(n);
     }
   }
-  for (size_t t = 0; t < n; ++t) {
-    drive(false, false, true);
-    sim_.settle();
+  netlist::drive_keystream(design_, sim_, n, [&] {
     for (unsigned lane = 0; lane < lanes; ++lane) {
       if (out[lane]) out[lane]->push_back(sim_.read_word_lane(design_.z, lane));
     }
-    sim_.clock();
-  }
+  });
   return out;
 }
 

@@ -2,8 +2,8 @@
 
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 
-#include "bitstream/patcher.h"
 #include "obs/metrics.h"
 
 namespace sbm::fpga {
@@ -113,23 +113,16 @@ std::shared_ptr<const DeviceSnapshot> build_snapshot(const netlist::Snow3gDesign
     if (idx < snap->owner.size()) snap->owner[idx] = DeviceSnapshot::kOwnerKey;
   }
 
-  // Golden decode (parent 0): same per-site reconstruction Device::configure
-  // performs, read once here so every probe starts from this configuration.
+  // Golden decode (parent 0): the device's own full decode, run once here so
+  // every probe starts from this configuration.
   auto gold = std::make_shared<ParentImage>();
   const u8* golden_frames = snap->golden.data() + snap->fdri;
   gold->frames.assign(golden_frames, golden_frames + snap->frame_len);
   gold->luts = placed.mapped;
-  for (size_t site = 0; site < placed.phys.size(); ++site) {
-    const u64 init = bitstream::read_lut_init(snap->golden, snap->site_l[site],
-                                              bitstream::Layout::chunk_stride(),
-                                              snap->site_order[site]);
-    for_each_site_lut(placed, site, init, [&](size_t lut, const logic::TruthTable6& f) {
-      gold->luts.luts[lut].function = f;
-    });
-  }
-  for (size_t w = 0; w < 4; ++w) {
-    gold->key[w] = load_be32(snap->golden.data() + snap->key_l + 4 * w);
-  }
+  const std::string error = decode_configuration(
+      placed, layout, snap->golden, gold->key,
+      [&](size_t lut, const logic::TruthTable6& f) { gold->luts.luts[lut].function = f; });
+  if (!error.empty()) throw std::invalid_argument("golden bitstream rejected: " + error);
 
   // Compiled evaluation tape + lane-transposed golden tables.  Forcing the
   // topo-order cache here keeps later concurrent simulator construction

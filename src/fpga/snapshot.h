@@ -40,9 +40,12 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bitstream/assembler.h"
+#include "bitstream/parser.h"
+#include "bitstream/patcher.h"
 #include "mapper/batch_lut_sim.h"
 #include "mapper/packing.h"
 #include "netlist/snow3g_design.h"
@@ -142,6 +145,34 @@ void for_each_site_lut(const mapper::PlacedDesign& placed, size_t site, u64 init
   const mapper::PhysicalLut& p = placed.phys[site];
   if (p.o6_lut >= 0) f(static_cast<size_t>(p.o6_lut), placed.function_from_init(site, false, init));
   if (p.o5_lut >= 0) f(static_cast<size_t>(p.o5_lut), placed.function_from_init(site, true, init));
+}
+
+/// The full configuration decode — what the device's configuration logic
+/// does with a bitstream: parse it (packets, IDCODE, CRC), check the frame
+/// data covers the device geometry, read every site's INIT out of its
+/// sub-vectors and call f(lut_index, function) for each mapped LUT, then
+/// load the embedded key into `key`.  Returns the rejection reason (what
+/// Device::error() reports), empty on success; on rejection neither f nor
+/// `key` is touched.
+template <class F>
+std::string decode_configuration(const mapper::PlacedDesign& placed,
+                                 const bitstream::Layout& layout, std::span<const u8> bytes,
+                                 snow3g::Key& key, F&& f) {
+  const bitstream::ParseResult parsed = bitstream::parse_bitstream(bytes);
+  if (!parsed.ok) return parsed.error;
+  if (parsed.frame_data.size() < layout.frame_count * bitstream::kFrameBytes) {
+    return "frame data too short for device geometry";
+  }
+  for (size_t site = 0; site < placed.phys.size(); ++site) {
+    const size_t l = layout.site_byte_index(site) - layout.fdri_byte_offset;
+    const u64 init =
+        bitstream::read_lut_init(parsed.frame_data, l, bitstream::Layout::chunk_stride(),
+                                 bitstream::chunk_order(placed.slice_of(site)));
+    for_each_site_lut(placed, site, init, f);
+  }
+  const size_t key_off = layout.key_byte_index() - layout.fdri_byte_offset;
+  for (size_t w = 0; w < 4; ++w) key[w] = load_be32(parsed.frame_data.data() + key_off + 4 * w);
+  return {};
 }
 
 }  // namespace sbm::fpga

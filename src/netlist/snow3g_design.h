@@ -50,6 +50,36 @@ struct Snow3gDesign {
   bool equalized = false;
 };
 
+/// The host's keystream transaction, shared by every simulator of the design
+/// (netlist, scalar LUT, bit-sliced LUT): one warm-up clock so the gamma
+/// pipeline registers capture K/IV, load, 32 init rounds and one discarded
+/// clock, then `words` times settle / read() / clock, where read() takes z
+/// off the settled outputs.  The caller sets the key and IV inputs first.
+template <class Sim, class Read>
+void drive_keystream(const Snow3gDesign& d, Sim& sim, size_t words, Read&& read) {
+  auto drive = [&](bool load, bool init, bool gen) {
+    sim.set_input(d.load, load);
+    sim.set_input(d.init, init);
+    sim.set_input(d.gen, gen);
+  };
+  drive(false, false, false);
+  sim.step();
+  drive(true, false, false);
+  sim.step();
+  for (int round = 0; round < 32; ++round) {
+    drive(false, true, false);
+    sim.step();
+  }
+  drive(false, false, true);
+  sim.step();  // discarded clock
+  for (size_t t = 0; t < words; ++t) {
+    drive(false, false, true);
+    sim.settle();
+    read();
+    sim.clock();
+  }
+}
+
 /// Builds the unprotected design (Section VI).
 Snow3gDesign build_snow3g_design();
 

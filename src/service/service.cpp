@@ -13,13 +13,6 @@ namespace sbm::service {
 
 namespace {
 
-/// splitmix64 finalizer — the campaign layer's trial-seed derivation.
-constexpr u64 mix64(u64 z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 /// Deterministic stand-in trial for kSynthetic jobs: the same (seed, index)
 /// seed derivation and protected-variant cadence as run_trial, with outcome
 /// counters drawn from the trial seed instead of a real attack.  It obeys
@@ -30,9 +23,8 @@ campaign::TrialOutcome synthetic_trial(const campaign::CampaignOptions& options,
                                        u32 sleep_ms) {
   campaign::TrialOutcome out;
   out.index = index;
-  out.trial_seed = mix64(options.seed ^ (0x9e3779b97f4a7c15ull * (index + 1)));
-  out.protected_variant = options.protected_every != 0 &&
-                          index % options.protected_every == options.protected_every - 1;
+  out.trial_seed = campaign::trial_seed(options, index);
+  out.protected_variant = campaign::is_protected_trial(options, index);
   out.attack_success = !out.protected_variant;
   out.key_match = out.attack_success;
   out.expected = true;

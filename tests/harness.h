@@ -15,32 +15,12 @@ namespace sbm::testing {
 template <typename Sim>
 std::vector<u32> run_design(const netlist::Snow3gDesign& d, Sim& sim, const snow3g::Key& key,
                             const snow3g::Iv& iv, size_t words) {
-  for (int i = 0; i < 4; ++i) {
-    sim.set_input_word(d.key[static_cast<size_t>(i)], key[static_cast<size_t>(i)]);
-    sim.set_input_word(d.iv[static_cast<size_t>(i)], iv[static_cast<size_t>(i)]);
+  for (size_t i = 0; i < 4; ++i) {
+    sim.set_input_word(d.key[i], key[i]);
+    sim.set_input_word(d.iv[i], iv[i]);
   }
-  auto drive = [&](bool load, bool init, bool gen) {
-    sim.set_input(d.load, load);
-    sim.set_input(d.init, init);
-    sim.set_input(d.gen, gen);
-  };
-  drive(false, false, false);  // gamma pipeline warm-up
-  sim.step();
-  drive(true, false, false);
-  sim.step();
-  for (int round = 0; round < 32; ++round) {
-    drive(false, true, false);
-    sim.step();
-  }
-  drive(false, false, true);
-  sim.step();  // discarded clock
   std::vector<u32> z;
-  for (size_t t = 0; t < words; ++t) {
-    drive(false, false, true);
-    sim.settle();
-    z.push_back(sim.read_word(d.z));
-    sim.clock();
-  }
+  netlist::drive_keystream(d, sim, words, [&] { z.push_back(sim.read_word(d.z)); });
   return z;
 }
 

@@ -43,6 +43,13 @@ TEST(BatchAttack, FullAttackInvariantAcrossWidthsAndThreads) {
   ASSERT_TRUE(ref.success) << ref.failure;
   ASSERT_TRUE(ref.key_confirmed);
   EXPECT_EQ(ref.probe_calls, ref.oracle_runs + ref.cache_hits);
+  // The paper's cost metric on the default victim, pinned absolutely.
+  EXPECT_EQ(ref.oracle_runs, 8350u);
+  EXPECT_EQ(ref.cache_hits, 8402u);
+  EXPECT_EQ(ref.probe_calls, 16752u);
+  const std::vector<std::pair<std::string, size_t>> phases = {
+      {"setup", 2}, {"z-path", 36}, {"beta", 1}, {"feedback", 8308}, {"alpha2", 2}, {"extract", 1}};
+  EXPECT_EQ(ref.phase_runs, phases);
 
   runtime::ThreadPool pool(8);
   struct Config {
@@ -81,6 +88,7 @@ TEST(BatchAttack, CampaignFingerprintInvariantAcrossWidthsAndThreads) {
   opt.batch_width = 1;
   const campaign::CampaignReport ref = campaign::run_campaign(opt);
   ASSERT_TRUE(ref.all_expected());
+  EXPECT_EQ(ref.fingerprint(), 0x53f8116bc28dac43ull);
 
   struct Config {
     unsigned width;

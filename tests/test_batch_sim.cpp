@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "fpga/batch_device.h"
 #include "fpga/system.h"
+#include "harness.h"
 #include "mapper/batch_lut_sim.h"
 #include "mapper/lut_network.h"
 #include "runtime/parallel.h"
@@ -25,42 +26,6 @@ namespace {
 const fpga::System& shared_system() {
   static const fpga::System sys = fpga::build_system();
   return sys;
-}
-
-/// One keystream transaction — warm-up, load, 32 init rounds, discarded
-/// clock, `words` generated words — on a simulator exposing the scalar input
-/// API (mapper::LutSimulator).
-template <typename Sim, typename SetWord, typename ReadWord>
-std::vector<u32> drive_keystream(const netlist::Snow3gDesign& design, Sim& sim, SetWord set_word,
-                                 ReadWord read_word, const snow3g::Key& key, const snow3g::Iv& iv,
-                                 size_t words) {
-  for (size_t i = 0; i < 4; ++i) {
-    set_word(design.key[i], key[i]);
-    set_word(design.iv[i], iv[i]);
-  }
-  auto drive = [&](bool load, bool init, bool gen) {
-    sim.set_input(design.load, load);
-    sim.set_input(design.init, init);
-    sim.set_input(design.gen, gen);
-  };
-  drive(false, false, false);
-  sim.step();
-  drive(true, false, false);
-  sim.step();
-  for (int round = 0; round < 32; ++round) {
-    drive(false, true, false);
-    sim.step();
-  }
-  drive(false, false, true);
-  sim.step();
-  std::vector<u32> z;
-  for (size_t t = 0; t < words; ++t) {
-    drive(false, false, true);
-    sim.settle();
-    z.push_back(read_word(design.z));
-    sim.clock();
-  }
-  return z;
 }
 
 struct LaneVector {
@@ -85,40 +50,19 @@ void check_lut_batch(const fpga::System& sys, const std::vector<LaneVector>& lan
       batch.set_input_word_lane(sys.design.iv[i], static_cast<unsigned>(l), lanes[l].iv[i]);
     }
   }
-  auto drive = [&](bool load, bool init, bool gen) {
-    batch.set_input(sys.design.load, load);
-    batch.set_input(sys.design.init, init);
-    batch.set_input(sys.design.gen, gen);
-  };
-  drive(false, false, false);
-  batch.step();
-  drive(true, false, false);
-  batch.step();
-  for (int round = 0; round < 32; ++round) {
-    drive(false, true, false);
-    batch.step();
-  }
-  drive(false, false, true);
-  batch.step();
   std::vector<std::vector<u32>> z(lanes.size());
-  for (size_t t = 0; t < words; ++t) {
-    drive(false, false, true);
-    batch.settle();
+  netlist::drive_keystream(sys.design, batch, words, [&] {
     for (size_t l = 0; l < lanes.size(); ++l) {
       z[l].push_back(batch.read_word_lane(sys.design.z, static_cast<unsigned>(l)));
     }
-    batch.clock();
-  }
+  });
 
   for (size_t l = 0; l < lanes.size(); ++l) {
     mapper::LutNetwork luts = sys.snapshot->golden_parent->luts;
     luts.luts[lanes[l].lut].function = logic::TruthTable6(lanes[l].bits);
     mapper::LutSimulator scalar(sys.design.net, luts);
-    const std::vector<u32> expect = drive_keystream(
-        sys.design, scalar,
-        [&](const netlist::Word& w, u32 v) { scalar.set_input_word(w, v); },
-        [&](const netlist::Word& w) { return scalar.read_word(w); }, lanes[l].key, lanes[l].iv,
-        words);
+    const std::vector<u32> expect =
+        testing::run_design(sys.design, scalar, lanes[l].key, lanes[l].iv, words);
     ASSERT_EQ(z[l], expect) << "lane " << l << " of " << lanes.size();
   }
 }
