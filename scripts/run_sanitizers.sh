@@ -10,8 +10,8 @@
 # Usage:
 #   scripts/run_sanitizers.sh                 # full tier-1 suite, both sanitizers
 #   scripts/run_sanitizers.sh thread          # one sanitizer only (thread|address)
-#   scripts/run_sanitizers.sh --smoke         # fast subset (runtime + faultsim unit
-#                                             # tests), both sanitizers — the ctest
+#   scripts/run_sanitizers.sh --smoke         # fast subset (smoke_filter below),
+#                                             # both sanitizers — the ctest
 #                                             # `sanitize` target runs this
 #   scripts/run_sanitizers.sh --smoke address # fast subset, one sanitizer
 #
@@ -42,10 +42,11 @@ fi
 # service (worker threads + socket reactor + fair scheduler — the most
 # thread-shaped code in the repo), the countermeasure cracker (pooled
 # candidate scans + multi-threaded crack campaigns) and the device's
-# parent-image cache (concurrent promotion and eviction) — where a
+# parent-image cache (concurrent promotion and eviction), the crypto
+# primitives and the envelope's per-thread keystream and MAC caches — where a
 # sanitizer finding is most likely and the runs are cheap enough for CI.
 # The full run takes the whole tier-1 label.
-smoke_filter='^(ThreadPool|Parallel|ProbeCache|Retry|FaultyOracle|NoiseProfile|ProbeCacheGuard|AttackCheckpoint|ObsMode|Metrics|Trace|Orchestrator|ServiceProtocol|FairScheduler|JobStore|ServiceSocket|ServiceRestart|ServiceMetricsParity|ServiceDeadline|SimdDispatch|SimdLaneVec|SimdTranspose|FlatMap|ProbeCacheFlatMap|AdaptiveController|StaticController|AdaptivePipeline|AdaptiveCampaign|ControllerConfig|FleetOracleTest|FleetCampaign|DecoyHypothesis|Cracker|CrackCampaign|CrackService|ParentCache)'
+smoke_filter='^(ThreadPool|Parallel|ProbeCache|Retry|FaultyOracle|NoiseProfile|ProbeCacheGuard|AttackCheckpoint|ObsMode|Metrics|Trace|Orchestrator|ServiceProtocol|FairScheduler|JobStore|ServiceSocket|ServiceRestart|ServiceMetricsParity|ServiceDeadline|SimdDispatch|SimdLaneVec|SimdTranspose|FlatMap|ProbeCacheFlatMap|AdaptiveController|StaticController|AdaptivePipeline|AdaptiveCampaign|ControllerConfig|FleetOracleTest|FleetCampaign|DecoyHypothesis|Cracker|CrackCampaign|CrackService|ParentCache|Secure|Sha256|Hmac|Aes256)'
 
 status=0
 for san in "${sanitizers[@]}"; do
@@ -53,11 +54,11 @@ for san in "${sanitizers[@]}"; do
   echo "=== [$san sanitizer] configure + build ($dir) ==="
   cmake -B "$dir" -S . -DSBM_SANITIZE="$san" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   if [ "$smoke" -eq 1 ]; then
-    cmake --build "$dir" -j --target test_runtime test_faultsim test_obs \
+    cmake --build "$dir" -j "$(nproc)" --target test_runtime test_faultsim test_obs \
       test_orchestrator test_service test_simd test_probe_controller test_fleet \
-      test_cracker test_batch_sim
+      test_cracker test_batch_sim test_crypto test_bitstream
   else
-    cmake --build "$dir" -j
+    cmake --build "$dir" -j "$(nproc)"
   fi
 
   echo "=== [$san sanitizer] ctest ==="

@@ -114,20 +114,19 @@ void Aes256::encrypt_block(AesBlock& block) const {
   add_round_key(14);
 }
 
+AesBlock ctr_block(const AesBlock& iv, u64 j) {
+  AesBlock block = iv;
+  store_be32(block.data() + 12, load_be32(iv.data() + 12) + static_cast<u32>(j));
+  return block;
+}
+
 void aes256_ctr_xor(const Aes256Key& key, const AesBlock& iv, std::span<u8> data) {
   const Aes256 aes(key);
-  AesBlock counter = iv;
-  size_t off = 0;
-  while (off < data.size()) {
-    AesBlock ks = counter;
+  for (size_t off = 0; off < data.size(); off += 16) {
+    AesBlock ks = ctr_block(iv, off / 16);
     aes.encrypt_block(ks);
     const size_t take = std::min<size_t>(16, data.size() - off);
     for (size_t i = 0; i < take; ++i) data[off + i] = static_cast<u8>(data[off + i] ^ ks[i]);
-    off += take;
-    // Increment the 32-bit big-endian counter in bytes 12..15.
-    for (int i = 15; i >= 12; --i) {
-      if (++counter[static_cast<size_t>(i)] != 0) break;
-    }
   }
 }
 

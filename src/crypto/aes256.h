@@ -38,6 +38,10 @@ class Aes256 {
   std::array<std::array<u8, 16>, 15> round_keys_{};
 };
 
+/// The CTR counter block of keystream block `j`: `iv` with its last 4 bytes,
+/// read big-endian, advanced by j mod 2^32 (no carry into byte 11).
+AesBlock ctr_block(const AesBlock& iv, u64 j);
+
 /// AES-256-CTR keystream XOR: encrypts or decrypts `data` in place (CTR is
 /// an involution).  The 16-byte IV provides the initial counter block; the
 /// counter occupies the last 4 bytes, big-endian.

@@ -4,7 +4,7 @@
 
 namespace sbm::crypto {
 
-Sha256Digest hmac_sha256(std::span<const u8> key, std::span<const u8> data) {
+HmacKeyStates hmac_key_states(std::span<const u8> key) {
   std::array<u8, 64> k_block{};
   if (key.size() > k_block.size()) {
     const Sha256Digest kd = sha256(key);
@@ -19,15 +19,19 @@ Sha256Digest hmac_sha256(std::span<const u8> key, std::span<const u8> data) {
     ipad[i] = static_cast<u8>(k_block[i] ^ 0x36);
     opad[i] = static_cast<u8>(k_block[i] ^ 0x5c);
   }
-
   Sha256 inner;
   inner.update(ipad);
-  inner.update(data);
-  const Sha256Digest inner_digest = inner.finish();
-
   Sha256 outer;
   outer.update(opad);
-  outer.update(inner_digest);
+  return {inner.state(), outer.state()};
+}
+
+Sha256Digest hmac_sha256(std::span<const u8> key, std::span<const u8> data) {
+  const HmacKeyStates pads = hmac_key_states(key);
+  Sha256 inner(pads.ipad, 64);
+  inner.update(data);
+  Sha256 outer(pads.opad, 64);
+  outer.update(inner.finish());
   return outer.finish();
 }
 

@@ -12,6 +12,15 @@
 
 namespace sbm::crypto {
 
+/// The SHA-256 chaining values after HMAC's ipad and opad blocks of `key`
+/// (any length): HMAC(key, m) = SHA-256 resumed from `opad` at byte 64 over
+/// the digest of SHA-256 resumed from `ipad` at byte 64 over m.
+struct HmacKeyStates {
+  Sha256State ipad{};
+  Sha256State opad{};
+};
+HmacKeyStates hmac_key_states(std::span<const u8> key);
+
 /// Computes HMAC-SHA-256 over `data` with `key` (any length).
 Sha256Digest hmac_sha256(std::span<const u8> key, std::span<const u8> data);
 

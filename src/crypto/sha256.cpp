@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <stdexcept>
 
 namespace sbm::crypto {
 namespace {
@@ -22,6 +23,10 @@ constexpr std::array<u32, 64> kK = {
 constexpr u32 rotr(u32 x, int n) { return std::rotr(x, n); }
 
 }  // namespace
+
+Sha256::Sha256(const Sha256State& state, u64 bytes) : h_(state), total_len_(bytes) {
+  if (bytes % 64 != 0) throw std::invalid_argument("Sha256: resume point is not a block boundary");
+}
 
 void Sha256::reset() {
   h_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -90,15 +95,15 @@ void Sha256::update(std::span<const u8> data) {
 }
 
 Sha256Digest Sha256::finish() {
-  const u64 bit_len = total_len_ * 8;
-  const u8 pad_one = 0x80;
-  update(std::span<const u8>(&pad_one, 1));
-  const u8 zero = 0;
-  while (buf_len_ != 56) update(std::span<const u8>(&zero, 1));
-  u8 len_bytes[8];
-  store_be64(len_bytes, bit_len);
-  // Bypass update()'s total_len_ accounting for the length field itself.
-  std::memcpy(buf_.data() + 56, len_bytes, 8);
+  // Padding: 0x80, zeros up to byte 56 of a block, then the bit length.
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_.data() + buf_len_, 0, buf_.size() - buf_len_);
+    process_block(buf_.data());
+    buf_len_ = 0;
+  }
+  std::memset(buf_.data() + buf_len_, 0, 56 - buf_len_);
+  store_be64(buf_.data() + 56, total_len_ * 8);
   process_block(buf_.data());
   Sha256Digest out{};
   for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, h_[static_cast<size_t>(i)]);

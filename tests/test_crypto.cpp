@@ -2,7 +2,9 @@
 // SHA-256, HMAC-SHA-256, AES-256-CTR).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string_view>
+#include <utility>
 
 #include "common/hex.h"
 #include "crypto/aes256.h"
@@ -80,6 +82,37 @@ TEST(Sha256, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
+// Lengths on both sides of the padding boundaries: 55 bytes leave exactly
+// room for 0x80 and the length, 56..63 spill the length into a second
+// block, 64 and 120 start or end a block.  Values from Python's hashlib.
+TEST(Sha256, PaddingBoundaryLengths) {
+  const std::pair<size_t, std::string_view> kats[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& [len, hex] : kats) {
+    EXPECT_EQ(hex_bytes(sha256(std::vector<u8>(len, 'a'))), hex) << "length " << len;
+  }
+}
+
+TEST(Sha256, ResumeAtBlockBoundaryMatchesOneShot) {
+  std::vector<u8> data(300);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<u8>(i * 13 + 5);
+  const Sha256Digest expect = sha256(data);
+  for (size_t cut = 0; cut <= data.size(); cut += 64) {
+    Sha256 head;
+    head.update(std::span<const u8>(data.data(), cut));
+    Sha256 resumed(head.state(), cut);
+    resumed.update(std::span<const u8>(data.data() + cut, data.size() - cut));
+    EXPECT_EQ(resumed.finish(), expect) << "cut=" << cut;
+  }
+  EXPECT_THROW(Sha256(Sha256State{}, 63), std::invalid_argument);
+}
+
 // RFC 4231 test cases for HMAC-SHA-256.
 TEST(Hmac, Rfc4231Case1) {
   const std::vector<u8> key(20, 0x0b);
@@ -134,6 +167,33 @@ TEST(Aes256, Fips197Vector) {
   std::copy(pt.begin(), pt.end(), block.begin());
   Aes256(key).encrypt_block(block);
   EXPECT_EQ(hex_bytes(block), "8ea2b7ca516745bfeafc49904b496089");
+}
+
+TEST(Aes256, CtrSp80038aF55) {
+  // NIST SP 800-38A F.5.5, CTR-AES256.Encrypt; also what
+  // `openssl enc -aes-256-ctr` gives for this key, IV and plaintext.
+  Aes256Key key{};
+  const auto k = parse_hex_bytes("603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4");
+  std::copy(k.begin(), k.end(), key.begin());
+  AesBlock iv{};
+  const auto counter = parse_hex_bytes("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
+  std::copy(counter.begin(), counter.end(), iv.begin());
+  std::vector<u8> data = parse_hex_bytes(
+      "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+      "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710");
+  aes256_ctr_xor(key, iv, data);
+  EXPECT_EQ(hex_bytes(data),
+            "601ec313775789a5b7a7f504bbf3d228f443e3ca4d62b59aca84e990cacaf5c5"
+            "2b0930daa23de94ce87017ba2d84988ddfc9c58db67aada613c2dd08457941a6");
+}
+
+TEST(Aes256, CtrCounterWrapsInItsLastFourBytes) {
+  AesBlock iv{};
+  iv.fill(0xff);
+  iv[11] = 0x42;
+  EXPECT_EQ(hex_bytes(ctr_block(iv, 0)), "ffffffffffffffffffffff42ffffffff");
+  EXPECT_EQ(hex_bytes(ctr_block(iv, 1)), "ffffffffffffffffffffff4200000000");
+  EXPECT_EQ(hex_bytes(ctr_block(iv, 0x100000001ull)), "ffffffffffffffffffffff4200000000");
 }
 
 TEST(Aes256, CtrIsInvolution) {
