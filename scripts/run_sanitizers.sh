@@ -1,17 +1,21 @@
 #!/usr/bin/env bash
-# Tier-1 test suite under ThreadSanitizer and AddressSanitizer.
+# Tier-1 test suite under ThreadSanitizer, AddressSanitizer and
+# UndefinedBehaviorSanitizer.
 #
-# Each sanitizer gets its own build tree (build-tsan/, build-asan/) configured
-# with the repo's SBM_SANITIZE cache option, so the instrumented builds never
-# pollute the regular build/ directory.  TSan is the one that matters for the
-# runtime/campaign fan-out layers; ASan covers the byte-twiddling bitstream
-# and attack code.
+# Each sanitizer gets its own build tree (build-tsan/, build-asan/,
+# build-usan/) configured with the repo's SBM_SANITIZE cache option, so the
+# instrumented builds never pollute the regular build/ directory.  TSan is the
+# one that matters for the runtime/campaign fan-out layers; ASan covers the
+# byte-twiddling bitstream and attack code; UBSan (non-recoverable: the first
+# finding fails the test) the shifts and integer arithmetic of the simulators
+# and the fault model.
 #
 # Usage:
-#   scripts/run_sanitizers.sh                 # full tier-1 suite, both sanitizers
-#   scripts/run_sanitizers.sh thread          # one sanitizer only (thread|address)
+#   scripts/run_sanitizers.sh                 # full tier-1 suite, all sanitizers
+#   scripts/run_sanitizers.sh thread          # one sanitizer only
+#                                             # (thread|address|undefined)
 #   scripts/run_sanitizers.sh --smoke         # fast subset (smoke_filter below),
-#                                             # both sanitizers — the ctest
+#                                             # all sanitizers — the ctest
 #                                             # `sanitize` target runs this
 #   scripts/run_sanitizers.sh --smoke address # fast subset, one sanitizer
 #
@@ -25,15 +29,15 @@ sanitizers=()
 for arg in "$@"; do
   case "$arg" in
     --smoke) smoke=1 ;;
-    thread|address) sanitizers+=("$arg") ;;
+    thread|address|undefined) sanitizers+=("$arg") ;;
     *)
-      echo "usage: $0 [--smoke] [thread|address]..." >&2
+      echo "usage: $0 [--smoke] [thread|address|undefined]..." >&2
       exit 2
       ;;
   esac
 done
 if [ ${#sanitizers[@]} -eq 0 ]; then
-  sanitizers=(thread address)
+  sanitizers=(thread address undefined)
 fi
 
 # The smoke subset: concurrency primitives, the fault model, the probe
@@ -50,7 +54,7 @@ smoke_filter='^(ThreadPool|Parallel|ProbeCache|Retry|FaultyOracle|NoiseProfile|P
 
 status=0
 for san in "${sanitizers[@]}"; do
-  dir="build-${san:0:1}san"   # build-tsan / build-asan
+  dir="build-${san:0:1}san"   # build-tsan / build-asan / build-usan
   echo "=== [$san sanitizer] configure + build ($dir) ==="
   cmake -B "$dir" -S . -DSBM_SANITIZE="$san" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   if [ "$smoke" -eq 1 ]; then

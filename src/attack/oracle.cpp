@@ -14,6 +14,11 @@ using runtime::ProbeOutcome;
 
 namespace {
 
+/// Device runs this process simulated.  Under a faultsim::FaultyOracle that
+/// is board simulations, not physical runs: the decorator simulates each
+/// distinct image once and answers faulted and repeated reads without the
+/// device, so its runs() (AttackResult::physical_runs) is the physical
+/// ledger (DESIGN.md §4f).
 obs::Counter& physical_run_counter() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter("oracle.physical_runs");
   return c;

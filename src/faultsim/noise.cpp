@@ -6,6 +6,23 @@
 
 namespace sbm::faultsim {
 
+Chance::Chance(double rate) : always_(rate >= 1) {
+  if (rate <= 0 || always_) return;
+  // Smallest x with double(x) >= rate * 2^64; rate < 1 keeps it below 2^64.
+  const double scaled = rate * 18446744073709551616.0;
+  u64 lo = 0;
+  u64 hi = ~u64{0};
+  while (lo < hi) {
+    const u64 mid = lo + (hi - lo) / 2;
+    if (static_cast<double>(mid) < scaled) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  below_ = lo;
+}
+
 NoiseProfile NoiseProfile::mild() {
   NoiseProfile p;
   p.transient_reject = 0.02;

@@ -20,6 +20,7 @@
 #include <unordered_map>
 
 #include "common/bits.h"
+#include "common/rng.h"
 #include "runtime/probe_controller.h"
 
 namespace sbm::faultsim {
@@ -65,6 +66,23 @@ struct NoiseProfile {
   NoiseProfile scaled(double factor) const;
 
   friend bool operator==(const NoiseProfile&, const NoiseProfile&) = default;
+};
+
+/// Bernoulli(rate) from one u64 draw x: true iff double(x) < rate * 2^64.
+/// The u64 -> double conversion is monotone, so that holds exactly for the x
+/// below a threshold found once, and a draw is one integer compare.  A rate
+/// <= 0 or >= 1 decides without drawing.
+class Chance {
+ public:
+  Chance() = default;  // never
+  explicit Chance(double rate);
+  bool operator()(Rng& rng) const { return always_ || (below_ != 0 && rng.next_u64() < below_); }
+  /// Draws below this succeed (0 when the rate is <= 0 or >= 1).
+  u64 below() const { return below_; }
+
+ private:
+  u64 below_ = 0;
+  bool always_ = false;
 };
 
 /// Adaptive-controller tuning seeded from a *known* noise profile: the

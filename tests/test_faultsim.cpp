@@ -6,7 +6,10 @@
 // never a wrong key); and the probe cache must never serve a corrupt read.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/pipeline.h"
@@ -14,6 +17,8 @@
 #include "faultsim/faulty_oracle.h"
 #include "faultsim/noise.h"
 #include "fpga/system.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "runtime/probe_cache.h"
 #include "runtime/retry.h"
 
@@ -101,7 +106,9 @@ TEST(FaultyOracle, ScriptedPlanInjectsEachFaultKind) {
   EXPECT_EQ(oracle.run(probe, 4).error(), ProbeError::kTimeout);  // dead forever
 
   EXPECT_EQ(oracle.runs(), 7u);  // every faulted run still cost a reconfiguration
-  EXPECT_EQ(inner.runs(), 7u);
+  // The inner board simulated the flip read only: every other read was
+  // answered by its fault, by the dead board, or by the memo (run 4).
+  EXPECT_EQ(inner.runs(), 1u);
   EXPECT_EQ(oracle.injected_rejections(), 1u);
   EXPECT_EQ(oracle.injected_flips(), 1u);
   EXPECT_EQ(oracle.injected_truncations(), 1u);
@@ -132,6 +139,167 @@ TEST(FaultyOracle, NoiseStreamIsIdenticalForBatchAndScalarExecution) {
   EXPECT_EQ(batched.injected_rejections(), scalar.injected_rejections());
 }
 
+/// Ideal inner board for the memo test: its answer depends on the image
+/// bytes except a trailing 8-byte nonce, which it ignores; images whose id
+/// is 3 mod 7 are rejected.  Records every (id, words) it simulated.
+class NonceOracle : public attack::Oracle {
+ public:
+  static constexpr size_t kNonceBytes = 8;
+
+  static std::vector<u8> image(u64 id, u64 nonce) {
+    std::vector<u8> bytes(24 + kNonceBytes);
+    const u64 fields[4] = {id, mix64(id), mix64(id ^ 0x5eed), nonce};
+    for (size_t b = 0; b < bytes.size(); ++b) {
+      bytes[b] = static_cast<u8>(fields[b / 8] >> (8 * (b % 8)));
+    }
+    return bytes;
+  }
+
+  ProbeOutcome run(std::span<const u8> bitstream, size_t words) override {
+    ++runs_;
+    u64 id = 0;
+    for (size_t b = 0; b < 8; ++b) id |= u64{bitstream[b]} << (8 * b);
+    evaluated.push_back({id, words});
+    if (id % 7 == 3) return ProbeError::kRejected;
+    u64 h = 0;
+    for (size_t b = 0; b + kNonceBytes < bitstream.size(); ++b) h = mix64(h ^ bitstream[b]);
+    std::vector<u32> z(words);
+    for (size_t w = 0; w < words; ++w) z[w] = static_cast<u32>(mix64(h + w));
+    return z;
+  }
+
+  std::vector<std::pair<u64, size_t>> evaluated;
+};
+
+/// One run_batch call of the memo test: `ids` read at `words` each.
+struct MemoCall {
+  size_t words;
+  std::vector<u64> ids;
+};
+
+std::vector<MemoCall> memo_test_sequence() {
+  std::vector<MemoCall> calls = {
+      {4, {0, 0, 0, 1, 1, 1, 2, 2, 2}},  // adjacent in-call repeats
+      {4, {0, 3, 0, 3, 0, 3}},           // interleaved and cross-call repeats
+      {8, {0, 0, 0, 1, 1, 1}},           // the same images at another length
+      {4, {1, 2, 4, 4, 4}},
+      {4, {5}}, {4, {5}}, {4, {5}}, {8, {5}},  // scalar reads
+  };
+  // More distinct images than the memo holds, three reads each in one call;
+  // then cross-call repeats of the last ones, which the memo still holds.
+  const u64 flood = FaultyOracle::kMemoEntries + 200;
+  MemoCall call{4, {}};
+  for (u64 id = 100; id < 100 + flood; ++id) {
+    for (int r = 0; r < 3; ++r) call.ids.push_back(id);
+    if (call.ids.size() >= 510) calls.push_back(std::exchange(call, MemoCall{4, {}}));
+  }
+  if (!call.ids.empty()) calls.push_back(call);
+  for (int pass = 0; pass < 2; ++pass) {
+    MemoCall tail{4, {}};
+    for (u64 id = 100 + flood - 100; id < 100 + flood; ++id) tail.ids.push_back(id);
+    calls.push_back(tail);
+  }
+  return calls;
+}
+
+size_t memo_test_reads(const std::vector<MemoCall>& calls) {
+  size_t n = 0;
+  for (const MemoCall& c : calls) n += c.ids.size();
+  return n;
+}
+
+/// Feeds `calls` to `oracle` with a fixed nonce (`unique_nonces` false) or a
+/// fresh nonce per read; size-1 calls go through the scalar run().
+std::vector<ProbeOutcome> feed(FaultyOracle& oracle, const std::vector<MemoCall>& calls,
+                               bool unique_nonces) {
+  std::vector<ProbeOutcome> out;
+  u64 nonce = 0;
+  for (const MemoCall& c : calls) {
+    std::vector<std::vector<u8>> images;
+    for (const u64 id : c.ids) {
+      images.push_back(NonceOracle::image(id, unique_nonces ? ++nonce : 0));
+    }
+    if (images.size() == 1) {
+      out.push_back(oracle.run(images[0], c.words));
+    } else {
+      for (ProbeOutcome& o : oracle.run_batch(images, c.words)) out.push_back(std::move(o));
+    }
+  }
+  return out;
+}
+
+TEST(FaultyOracle, MemoizedInnerMatchesFreshEvaluation) {
+  // The memo changes how often the inner board simulates, never an answer:
+  // a subject whose repeated reads hit the memo must answer exactly like a
+  // reference whose every read carries a fresh nonce and so never hits.
+  const std::vector<MemoCall> calls = memo_test_sequence();
+  const size_t reads = memo_test_reads(calls);
+  NoiseProfile mild = NoiseProfile::mild();
+  mild.seed = 0x3e3a;
+  NoiseProfile harsh = NoiseProfile::harsh();
+  harsh.seed = 0x4a25;
+  FaultPlan plan;
+  plan.flip_at(1, 0, 3).flip_at(4, 2, 30).reject_at(6).truncate_at(10, 1).kill_at(reads - 50);
+
+  struct Case {
+    const char* name;
+    std::optional<NoiseProfile> profile;
+  };
+  for (const Case& c : {Case{"harsh", harsh}, Case{"mild", mild}, Case{"scripted", std::nullopt}}) {
+    SCOPED_TRACE(c.name);
+    obs::Counter& evals = obs::MetricsRegistry::global().counter("faultsim.inner_evaluations");
+    obs::Counter& reused = obs::MetricsRegistry::global().counter("faultsim.reused_reads");
+    const u64 evals_before = evals.value();
+    const u64 reused_before = reused.value();
+
+    NonceOracle subject_inner;
+    NonceOracle reference_inner;
+    FaultyOracle subject = c.profile ? FaultyOracle(subject_inner, *c.profile)
+                                     : FaultyOracle(subject_inner, plan);
+    FaultyOracle reference = c.profile ? FaultyOracle(reference_inner, *c.profile)
+                                       : FaultyOracle(reference_inner, plan);
+    const std::vector<ProbeOutcome> got = feed(subject, calls, false);
+    const std::vector<ProbeOutcome> want = feed(reference, calls, true);
+
+    ASSERT_EQ(got.size(), reads);
+    ASSERT_EQ(want.size(), reads);
+    for (size_t i = 0; i < reads; ++i) ASSERT_EQ(got[i], want[i]) << "read " << i;
+    EXPECT_EQ(subject.runs(), reference.runs());
+    EXPECT_EQ(subject.dead(), reference.dead());
+    EXPECT_EQ(subject.died_at(), reference.died_at());
+    EXPECT_EQ(subject.injected_rejections(), reference.injected_rejections());
+    EXPECT_EQ(subject.injected_flips(), reference.injected_flips());
+    EXPECT_EQ(subject.injected_truncations(), reference.injected_truncations());
+    EXPECT_EQ(subject.injected_timeouts(), reference.injected_timeouts());
+    EXPECT_GT(subject.injected_flips(), 0u);
+
+    // The reference simulates every read that needs an answer; the subject
+    // each distinct needed (image, words) exactly once.
+    std::set<std::pair<u64, size_t>> distinct(reference_inner.evaluated.begin(),
+                                              reference_inner.evaluated.end());
+    EXPECT_GT(distinct.size(), FaultyOracle::kMemoEntries);
+    EXPECT_EQ(reference.reused_reads(), 0u);
+    EXPECT_EQ(reference.inner_evaluations(), reference_inner.evaluated.size());
+    EXPECT_EQ(subject.inner_evaluations(), subject_inner.evaluated.size());
+    EXPECT_EQ(subject_inner.evaluated.size(), distinct.size());
+    EXPECT_GT(subject.reused_reads(), 2 * distinct.size() / 3);
+    EXPECT_GT(subject.memo_entries(), 0u);
+    EXPECT_LE(subject.memo_entries(), FaultyOracle::kMemoEntries);
+
+    // Every read is simulated, reused, or answered by its fault alone.
+    for (const FaultyOracle* o : {&subject, &reference}) {
+      EXPECT_EQ(o->runs(), o->inner_evaluations() + o->reused_reads() +
+                               o->injected_rejections() + o->injected_truncations() +
+                               o->injected_timeouts());
+    }
+    if (obs::metrics_enabled()) {
+      EXPECT_EQ(evals.value() - evals_before,
+                subject.inner_evaluations() + reference.inner_evaluations());
+      EXPECT_EQ(reused.value() - reused_before, subject.reused_reads());
+    }
+  }
+}
+
 TEST(NoiseProfileTest, NamedProfilesParse) {
   EXPECT_TRUE(NoiseProfile::named("none").has_value());
   EXPECT_TRUE(NoiseProfile::named("none")->quiet());
@@ -144,6 +312,37 @@ TEST(NoiseProfileTest, NamedProfilesParse) {
   // The acceptance floor: at least 1e-3 bit flips, 2% transient rejections.
   EXPECT_GE(NoiseProfile::mild().bit_flip, 1e-3);
   EXPECT_GE(NoiseProfile::mild().transient_reject, 0.02);
+}
+
+TEST(NoiseProfileTest, ChanceThresholdDecidesLikeTheDoubleCompare) {
+  // The integer threshold decides every draw exactly as double(x) <
+  // rate * 2^64 does: next to the threshold, where the conversion rounds,
+  // and across the whole range.
+  Rng rng(0xc4a2);
+  for (const double rate : {2e-4, 1e-3, 2e-3, 0.005, 0.01, 0.02, 0.05, 1.0 / 3, 0.999999}) {
+    SCOPED_TRACE(rate);
+    const faultsim::Chance chance(rate);
+    const double scaled = rate * 18446744073709551616.0;
+    const u64 t = chance.below();
+    ASSERT_GT(t, 4096u);
+    size_t mismatches = 0;
+    for (u64 d = 0; d < 4096; ++d) {
+      for (const u64 x : {t - 1 - d, t + d}) {
+        mismatches += (x < t) != (static_cast<double>(x) < scaled);
+      }
+    }
+    for (int i = 0; i < 10000; ++i) {
+      const u64 x = rng.next_u64();
+      mismatches += (x < t) != (static_cast<double>(x) < scaled);
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+  // Rates outside (0, 1) decide without consuming a draw.
+  Rng a(1);
+  Rng b(1);
+  EXPECT_FALSE(faultsim::Chance(0)(a));
+  EXPECT_TRUE(faultsim::Chance(1)(a));
+  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 // The headline acceptance test: the full attack through a mild()-noisy
