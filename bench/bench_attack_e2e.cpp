@@ -573,37 +573,6 @@ int run_cracker_smoke() {
   return ok ? 0 : 1;
 }
 
-void BM_FullAttack(benchmark::State& state) {
-  const fpga::System& sys = system_instance();
-  for (auto _ : state) {
-    DeviceOracle oracle(sys, kIv, nullptr, /*batch_width=*/1);
-    PipelineConfig cfg;
-    cfg.iv = kIv;
-    Attack attack(oracle, sys.golden.bytes, cfg);
-    auto res = attack.execute();
-    benchmark::DoNotOptimize(res);
-    if (!res.success) state.SkipWithError("attack failed");
-  }
-}
-BENCHMARK(BM_FullAttack)->Unit(benchmark::kSecond)->Iterations(1);
-
-void BM_FullAttackCached(benchmark::State& state) {
-  const fpga::System& sys = system_instance();
-  for (auto _ : state) {
-    DeviceOracle oracle(sys, kIv, &runtime::ThreadPool::global());
-    runtime::ProbeCache cache;
-    PipelineConfig cfg;
-    cfg.iv = kIv;
-    cfg.cache = &cache;
-    cfg.find.pool = &runtime::ThreadPool::global();
-    Attack attack(oracle, sys.golden.bytes, cfg);
-    auto res = attack.execute();
-    benchmark::DoNotOptimize(res);
-    if (!res.success) state.SkipWithError("attack failed");
-  }
-}
-BENCHMARK(BM_FullAttackCached)->Unit(benchmark::kSecond)->Iterations(1);
-
 void BM_SystemBuild(benchmark::State& state) {
   for (auto _ : state) {
     auto sys = fpga::build_system();

@@ -26,9 +26,13 @@ struct HalfMatch {
 
 /// Finds every LUT position whose O5 or O6 half implements the 5-variable
 /// function `half_function` (given as a 32-bit table over a1..a5) under any
-/// permutation of the five shared inputs.  `constrain` optionally limits the
-/// scan to [begin, end) byte positions — the paper's frame-constrained
-/// search (203 of 481 hits).
+/// permutation of the five shared inputs.  `begin`/`end` limit the scan to
+/// byte positions [begin, end) — the paper's frame-constrained search (203
+/// of 481 hits).  The half scan is a serial per-position loop over the two
+/// device chunk orders: it reads options.offset_d only, and ignores
+/// options.pool and options.try_all_orders.  At each position the first
+/// order with any half match wins, and both halves are reported if both
+/// match under it.
 std::vector<HalfMatch> find_lut_half(std::span<const u8> bitstream, u32 half_function,
                                      const FindLutOptions& options = {}, size_t begin = 0,
                                      size_t end = SIZE_MAX);

@@ -1,16 +1,13 @@
 #include "attack/findlut.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "attack/scan_engine.h"
-#include "runtime/parallel.h"
 
 namespace sbm::attack {
 
 using bitstream::kChunkBytes;
 using bitstream::kSubVectors;
-using logic::InputPermutation;
 using logic::TruthTable6;
 
 const std::vector<std::array<u8, 4>>& all_chunk_orders() {
@@ -33,38 +30,6 @@ std::span<const std::array<u8, 4>> orders_for(const FindLutOptions& options) {
 }
 
 }  // namespace
-
-LutPatterns precompute_patterns(TruthTable6 f) {
-  // Precompute xi(F_pi) for every distinct permuted truth table.
-  LutPatterns patterns;
-  for (const auto& perm : logic::all_permutations6()) {
-    const TruthTable6 t = f.permuted(perm);
-    patterns.by_stored_bits.try_emplace(bitstream::xi_permute(t.bits()),
-                                        LutPatterns::Pattern{t, perm});
-  }
-  return patterns;
-}
-
-std::vector<LutMatch> find_lut_range(std::span<const u8> bitstream, const LutPatterns& patterns,
-                                     size_t l_begin, size_t l_end,
-                                     const FindLutOptions& options) {
-  std::vector<LutMatch> matches;
-  const size_t d = options.offset_d;
-  if (bitstream.size() < (kSubVectors - 1) * d + kChunkBytes) return matches;
-  const auto orders = orders_for(options);
-  const size_t last = bitstream.size() - (kSubVectors - 1) * d - kChunkBytes;
-  l_end = std::min(l_end, last + 1);
-  for (size_t l = l_begin; l < l_end; ++l) {
-    for (const auto& order : orders) {
-      const u64 b = bitstream::assemble_b(bitstream, l, d, order);
-      const auto it = patterns.by_stored_bits.find(b);
-      if (it == patterns.by_stored_bits.end()) continue;
-      matches.push_back({l, it->second.table, it->second.perm, order});
-      break;  // Mark(l): one hit per byte position
-    }
-  }
-  return matches;
-}
 
 std::vector<LutMatch> find_lut(std::span<const u8> bitstream, TruthTable6 f,
                                const FindLutOptions& options) {

@@ -10,17 +10,17 @@
 //   * find_lut: the production version, a single-candidate view of the
 //     one-pass multi-pattern engine (attack/scan_engine.h): patterns are
 //     compiled once into a 16-bit first-chunk bucket index (cached across
-//     calls) and each byte position does one bucket probe.  Same results,
-//     linear in |B|.
+//     calls) and each byte position does one bucket probe.  Same byte
+//     positions, linear in |B|.
 //
-// precompute_patterns / find_lut_range are the pre-engine hash-probing scan,
-// kept as the legacy reference the engine is differentially tested and
-// benchmarked against (scan_family_legacy in attack/scan.h builds on them).
+// The two agree on the set of byte positions and differ only in which
+// representation they report where several (permutation, order) pairs
+// store the same bytes at l.  find_lut_naive keeps the first permutation,
+// then the first order; find_lut keeps the first order, then the first
+// permutation producing that table.
 #pragma once
 
-#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "bitstream/assembler.h"
@@ -62,25 +62,6 @@ std::vector<LutMatch> find_lut(std::span<const u8> bitstream, logic::TruthTable6
                                const FindLutOptions& options = {});
 
 std::vector<LutMatch> find_lut_naive(std::span<const u8> bitstream, logic::TruthTable6 f,
-                                     const FindLutOptions& options = {});
-
-/// Precomputed FINDLUT state for one target function: the distinct
-/// xi-mapped permuted truth tables, hash-indexed.  Immutable after
-/// construction, so one instance can be shared by concurrent range scans.
-struct LutPatterns {
-  struct Pattern {
-    logic::TruthTable6 table;
-    logic::InputPermutation perm;
-  };
-  std::unordered_map<u64, Pattern> by_stored_bits;
-};
-LutPatterns precompute_patterns(logic::TruthTable6 f);
-
-/// Scans byte positions [l_begin, l_end) only (clamped to the valid range).
-/// find_lut(b, f, o) == concatenation of find_lut_range over a partition of
-/// the position space, in range order.
-std::vector<LutMatch> find_lut_range(std::span<const u8> bitstream, const LutPatterns& patterns,
-                                     size_t l_begin, size_t l_end,
                                      const FindLutOptions& options = {});
 
 /// All sub-vector orders (r! = 24) in a stable order.

@@ -1,8 +1,6 @@
 #include "attack/scan.h"
 
 #include "attack/scan_engine.h"
-#include "bitstream/lut_coding.h"
-#include "runtime/parallel.h"
 
 namespace sbm::attack {
 
@@ -22,57 +20,6 @@ std::vector<FamilyCount> scan_family(std::span<const u8> bitstream,
   out.reserve(family.size());
   for (size_t c = 0; c < family.size(); ++c) {
     out.push_back({family[c], std::move(per_candidate[c])});
-  }
-  return out;
-}
-
-std::vector<FamilyCount> scan_family_legacy(std::span<const u8> bitstream,
-                                            const std::vector<Candidate>& family,
-                                            const FindLutOptions& options) {
-  std::vector<FamilyCount> out;
-  out.reserve(family.size());
-  const size_t min_size =
-      (bitstream::kSubVectors - 1) * options.offset_d + bitstream::kChunkBytes;
-  const size_t positions = bitstream.size() < min_size ? 0 : bitstream.size() - min_size + 1;
-  const size_t shards = runtime::shard_count(options.pool, positions, options.shard_grain);
-
-  // The pattern precompute is hoisted out of the scan loops on both paths:
-  // one build per candidate, shared read-only by every range shard.
-  auto patterns = runtime::parallel_map(options.pool, family.size(), [&](size_t c) {
-    return precompute_patterns(family[c].function);
-  });
-
-  if (shards <= 1) {
-    // Serial reference path (also taken for tiny bitstreams).
-    FindLutOptions serial = options;
-    serial.pool = nullptr;
-    for (size_t c = 0; c < family.size(); ++c) {
-      out.push_back({family[c], find_lut_range(bitstream, patterns[c], 0, positions, serial)});
-    }
-    return out;
-  }
-
-  // Two-level sharding: the unit of work is (candidate, byte-range); shard
-  // outputs concatenate in range order, so the result is byte-identical to
-  // the serial scan for any thread count.
-  const size_t tasks = family.size() * shards;
-  auto pieces = runtime::parallel_map(
-      options.pool, tasks,
-      [&](size_t t) {
-        const size_t c = t / shards;
-        const size_t s = t % shards;
-        return find_lut_range(bitstream, patterns[c], positions * s / shards,
-                              positions * (s + 1) / shards, options);
-      },
-      /*min_grain=*/1);
-  for (size_t c = 0; c < family.size(); ++c) {
-    FamilyCount fc;
-    fc.candidate = family[c];
-    for (size_t s = 0; s < shards; ++s) {
-      auto& part = pieces[c * shards + s];
-      fc.matches.insert(fc.matches.end(), part.begin(), part.end());
-    }
-    out.push_back(std::move(fc));
   }
   return out;
 }

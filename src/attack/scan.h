@@ -21,19 +21,11 @@ struct FamilyCount {
 /// pass: the whole family's pattern sets are compiled into one shared
 /// first-chunk PatternIndex (attack/scan_engine.h, cached across calls and
 /// campaign trials), so the cost is O(positions + bucket hits) instead of
-/// O(candidates x positions x orders).  Results are bit-identical to
-/// scan_family_legacy for any thread count.
+/// O(candidates x positions x orders).  Element c is bit-identical to
+/// find_lut(bitstream, family[c].function, options), for any thread count.
 std::vector<FamilyCount> scan_family(std::span<const u8> bitstream,
                                      const std::vector<logic::Candidate>& family,
                                      const FindLutOptions& options = {});
-
-/// The pre-engine reference: one hash-probing pass per candidate
-/// (find_lut_range), with the per-candidate pattern precompute hoisted out
-/// of the scan loops and shared by all of that candidate's range shards.
-/// Kept for differential tests and the engine-vs-legacy benchmark.
-std::vector<FamilyCount> scan_family_legacy(std::span<const u8> bitstream,
-                                            const std::vector<logic::Candidate>& family,
-                                            const FindLutOptions& options = {});
 
 /// The attack's working family: the paper's Table II candidates plus the
 /// generalized gated-XOR shapes (every control polarity count for 2- and

@@ -33,8 +33,8 @@ PatternIndex::PatternIndex(std::span<const TruthTable6> functions, bool try_all_
   FlatMap<u64, u32, U64MixHash> image_seen;
   std::vector<std::pair<u64, u32>> distinct;  // (B, pattern index)
   for (size_t c = 0; c < functions.size(); ++c) {
-    // Distinct xi-mapped patterns, first permutation wins — the same dedup
-    // precompute_patterns does, so matched (table, perm) metadata agrees.
+    // Distinct xi-mapped patterns, first permutation wins, so each matched
+    // table reports the first permutation in all_permutations6() giving it.
     seen.clear();
     distinct.clear();
     for (const auto& perm : logic::all_permutations6()) {
@@ -46,8 +46,8 @@ PatternIndex::PatternIndex(std::span<const TruthTable6> functions, bool try_all_
       distinct.emplace_back(b, *slot);
     }
     // One entry per distinct memory image, lowest order index wins: when two
-    // (pattern, order) pairs store identically, the serial scan's order loop
-    // hits the earlier order first and breaks — Mark(l) semantics.
+    // (pattern, order) pairs store identically, Mark(l) keeps the earlier
+    // order, as a scan trying the orders in list order would.
     image_seen.clear();
     for (u16 o = 0; o < orders_.size(); ++o) {
       for (const auto& [b, pattern] : distinct) {

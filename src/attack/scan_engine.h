@@ -1,8 +1,7 @@
 // One-pass multi-pattern FINDLUT engine.
 //
-// The per-candidate scan (find_lut / find_lut_range) pays one full bitstream
-// pass per candidate function: O(candidates x positions x orders) hash
-// probes.  Auditing a whole family — the paper's Table II candidates plus
+// Scanning candidate by candidate pays one full bitstream pass per candidate
+// function.  Auditing a whole family — the paper's Table II candidates plus
 // the generalized gated-XOR shapes, or a countermeasure decoy family — makes
 // that the dominant cost on realistic multi-MB bitstreams.
 //
@@ -23,10 +22,11 @@
 //
 // One pass over the bitstream therefore serves every candidate at once:
 // O(positions + bucket hits) instead of O(candidates x positions x orders).
-// Results are bit-identical to the per-candidate scan — same matches, same
-// ascending-l order per candidate, same Mark(l) first-order-wins semantics
-// (entries deduped per candidate keeping the lowest order index, exactly the
-// order in which find_lut_range breaks out of its order loop).
+// Each candidate gets the byte positions Algorithm 1 (find_lut_naive) marks,
+// in ascending-l order, and is bit-identical to a one-candidate pass
+// (find_lut).  Where several (permutation, order) pairs store the same bytes
+// at l, Mark(l) keeps the lowest order index, then the first permutation
+// producing that table (entries are deduped per candidate in that order).
 #pragma once
 
 #include <memory>
@@ -52,8 +52,8 @@ class PatternIndex {
 
   /// Scans byte positions [l_begin, l_end) (clamped to the valid range for
   /// `offset_d`) and appends candidate c's matches to out[c], ascending l.
-  /// out must have at least candidates() elements.  Equivalent to running
-  /// find_lut_range over the same range once per candidate.
+  /// out must have at least candidates() elements.  Equivalent to scanning
+  /// the same range once per candidate.
   void scan_range(std::span<const u8> bitstream, size_t offset_d, size_t l_begin, size_t l_end,
                   std::vector<std::vector<LutMatch>>& out) const;
 
@@ -79,9 +79,10 @@ class PatternIndex {
 };
 
 /// Scans the whole bitstream through `index`, sharding contiguous byte
-/// ranges over options.pool exactly like find_lut does; element c of the
-/// result lists candidate c's matches in ascending-l order, identical for
-/// any thread count.  options.try_all_orders must match the index.
+/// ranges over options.pool; find_lut and scan_family both run here.
+/// Element c of the result lists candidate c's matches in ascending-l order,
+/// identical for any thread count.  options.try_all_orders must match the
+/// index.
 std::vector<std::vector<LutMatch>> scan_all(std::span<const u8> bitstream,
                                             const PatternIndex& index,
                                             const FindLutOptions& options);

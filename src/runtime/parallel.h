@@ -1,12 +1,10 @@
 // Deterministic data-parallel loops on top of ThreadPool.
 //
-// Determinism contract: for the same inputs, parallel_for / parallel_map /
-// parallel_map_reduce produce results identical to the serial loop
-// `for (i = 0; i < n; ++i)`, regardless of the pool's thread count (a null
-// pool means "run serially").  parallel_map keeps results in index order;
-// parallel_map_reduce folds them in index order after the barrier, so even
-// non-commutative reductions are stable.  The only thing threads may change
-// is wall-clock time.
+// Determinism contract: for the same inputs, parallel_for / parallel_map
+// produce results identical to the serial loop `for (i = 0; i < n; ++i)`,
+// regardless of the pool's thread count (a null pool means "run serially").
+// parallel_map keeps results in index order.  The only thing threads may
+// change is wall-clock time.
 #pragma once
 
 #include <functional>
@@ -76,18 +74,6 @@ auto parallel_map(ThreadPool* pool, size_t n, Fn&& fn, size_t min_grain = 1)
   out.reserve(n);
   for (auto& s : slots) out.push_back(std::move(*s));
   return out;
-}
-
-/// Ordered reduction: maps fn over [0, n), then folds the results into
-/// `init` strictly in index order — acc = fold(acc, r_0), fold(acc, r_1)...
-/// Identical to the serial loop even for non-commutative folds.
-template <typename Acc, typename Fn, typename Fold>
-Acc parallel_map_reduce(ThreadPool* pool, size_t n, Acc init, Fn&& fn, Fold&& fold,
-                        size_t min_grain = 1) {
-  auto mapped = parallel_map(pool, n, std::forward<Fn>(fn), min_grain);
-  Acc acc = std::move(init);
-  for (auto& r : mapped) acc = fold(std::move(acc), std::move(r));
-  return acc;
 }
 
 }  // namespace sbm::runtime

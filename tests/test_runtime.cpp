@@ -1,5 +1,5 @@
 // Runtime subsystem tests: thread-pool lifecycle, nested batches, exception
-// propagation, deterministic ordered reduction, and probe-cache accounting.
+// propagation, deterministic parallel maps, and probe-cache accounting.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -131,19 +131,6 @@ TEST(Parallel, ForCoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> counts(512);
   parallel_for(&pool, counts.size(), [&](size_t i) { ++counts[i]; });
   for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
-}
-
-TEST(Parallel, OrderedReductionIsDeterministic) {
-  // A deliberately non-commutative fold: the result depends on the order
-  // results are folded in, so this only passes if reduction is ordered.
-  auto fold = [](u64 acc, u64 v) { return acc * 31 + v; };
-  auto work = [](size_t i) { return u64{i} ^ 0xabcdu; };
-  u64 serial = 7;
-  for (size_t i = 0; i < 200; ++i) serial = fold(serial, work(i));
-  for (const unsigned threads : {1u, 3u, 8u}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(parallel_map_reduce(&pool, 200, u64{7}, work, fold), serial);
-  }
 }
 
 TEST(ProbeCache, HitMissAccounting) {

@@ -1,10 +1,11 @@
 // One-pass multi-pattern scan engine (attack/scan_engine.h) tests:
-// randomized equivalence against the per-candidate reference scans, Mark(l)
-// and bucket-collision semantics, thread invariance, and index caching.
+// randomized equivalence against Algorithm 1 (find_lut_naive) and one-pass-
+// per-candidate scans, the match-by-match output contract, Mark(l) and
+// bucket-collision semantics, thread invariance, and index caching.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
-#include <set>
 
 #include "attack/findlut.h"
 #include "attack/pipeline.h"
@@ -14,6 +15,7 @@
 #include "common/rng.h"
 #include "faultsim/faulty_oracle.h"
 #include "faultsim/noise.h"
+#include "findlut_contract.h"
 #include "fpga/system.h"
 #include "runtime/probe_cache.h"
 #include "runtime/retry.h"
@@ -40,15 +42,33 @@ std::vector<u8> random_buffer(size_t size, u64 seed) {
   return bytes;
 }
 
-void expect_same_scan(const std::vector<FamilyCount>& engine,
-                      const std::vector<FamilyCount>& legacy) {
-  ASSERT_EQ(engine.size(), legacy.size());
-  for (size_t c = 0; c < engine.size(); ++c) {
-    EXPECT_EQ(engine[c].candidate.name, legacy[c].candidate.name);
-    // Full structural identity: position, table, permutation and chunk
-    // order, in the same ascending-l order.
-    EXPECT_EQ(engine[c].matches, legacy[c].matches) << engine[c].candidate.name;
+/// Pins every field of a family scan without a second scan implementation:
+/// each candidate's list satisfies the match-by-match contract and equals a
+/// one-candidate engine pass; with `naive`, its byte positions are exactly
+/// the ones Algorithm 1 marks (affordable on buffers of a few KiB only).
+void expect_engine_output(std::span<const u8> bytes, const std::vector<Candidate>& family,
+                          const std::vector<FamilyCount>& engine, const FindLutOptions& opt,
+                          bool naive) {
+  ASSERT_EQ(engine.size(), family.size());
+  for (size_t c = 0; c < family.size(); ++c) {
+    SCOPED_TRACE(family[c].name);
+    EXPECT_EQ(engine[c].candidate.name, family[c].name);
+    EXPECT_EQ(findlut_contract_violation(bytes, family[c].function, engine[c].matches, opt), "");
+    EXPECT_EQ(engine[c].matches, find_lut(bytes, family[c].function, opt));
+    if (naive) {
+      EXPECT_EQ(match_positions(engine[c].matches),
+                match_positions(find_lut_naive(bytes, family[c].function, opt)));
+    }
   }
+}
+
+/// Expects fc's match at expected.byte_index to be exactly `expected`.
+void expect_match(const FamilyCount& fc, const LutMatch& expected) {
+  const auto it = std::find_if(fc.matches.begin(), fc.matches.end(), [&](const LutMatch& m) {
+    return m.byte_index == expected.byte_index;
+  });
+  ASSERT_NE(it, fc.matches.end()) << fc.candidate.name << ": no match at " << expected.byte_index;
+  EXPECT_EQ(*it, expected) << fc.candidate.name << " at " << expected.byte_index;
 }
 
 TEST(ScanEngine, RandomizedEquivalenceAcrossOffsetsAndOrders) {
@@ -71,19 +91,9 @@ TEST(ScanEngine, RandomizedEquivalenceAcrossOffsetsAndOrders) {
                   .bits());
         }
         const auto engine = scan_family(bytes, family, opt);
-        const auto legacy = scan_family_legacy(bytes, family, opt);
-        expect_same_scan(engine, legacy);
+        expect_engine_output(bytes, family, engine, opt, /*naive=*/true);
         for (size_t c = 0; c < family.size(); ++c) {
-          EXPECT_GE(engine[c].count(), 1u) << family[c].name;
-          // Per-candidate view must agree with the single-candidate engine
-          // scan and (on byte positions) with the literal Algorithm 1.
-          EXPECT_EQ(engine[c].matches, find_lut(bytes, family[c].function, opt));
-          std::set<size_t> engine_l, naive_l;
-          for (const auto& m : engine[c].matches) engine_l.insert(m.byte_index);
-          for (const auto& m : find_lut_naive(bytes, family[c].function, opt)) {
-            naive_l.insert(m.byte_index);
-          }
-          EXPECT_EQ(engine_l, naive_l) << family[c].name;
+          EXPECT_TRUE(match_positions(engine[c].matches).count(100 + c * 800)) << family[c].name;
         }
       }
     }
@@ -113,19 +123,21 @@ TEST(ScanEngine, OverlappingAndAdjacentMatches) {
   family.push_back(overlay);
 
   const auto engine = scan_family(bytes, family, opt);
-  const auto legacy = scan_family_legacy(bytes, family, opt);
-  expect_same_scan(engine, legacy);
-  std::set<size_t> found;
-  for (const auto& fc : engine) {
-    for (const auto& m : fc.matches) found.insert(m.byte_index);
-  }
-  for (const size_t l : {size_t{300}, size_t{302}, size_t{600}, size_t{602}}) {
-    EXPECT_TRUE(found.count(l)) << "planted position " << l << " missing";
-  }
-  // The overlay candidate shares its matched bytes with f2's instance.
-  std::set<size_t> overlay_l;
-  for (const auto& m : engine.back().matches) overlay_l.insert(m.byte_index);
-  EXPECT_TRUE(overlay_l.count(300));
+  expect_engine_output(bytes, family, engine, opt, /*naive=*/true);
+  EXPECT_TRUE(match_positions(engine[2].matches).count(600));
+  EXPECT_TRUE(match_positions(engine[3].matches).count(602));
+  // The tie at l = 300: f2 and the overlay read the same bytes, each under
+  // its own order.  f2 was stored unpermuted under SLICEL; the overlay is
+  // by construction what SLICEM reads there, and SLICEL (tried first) puts
+  // no member of its P class at 300.
+  const auto& identity = logic::all_permutations6()[0];
+  expect_match(engine[0], {300, family[0].function, identity, slicel});
+  expect_match(engine.back(), {300, overlay.function, identity, slicem});
+  // A permutation tie at l = 302: f8 was stored under permutation 10,
+  // {0,1,3,5,2,4}, but permutation 7, {0,1,3,2,5,4}, gives the same table
+  // and comes first in all_permutations6().
+  expect_match(engine[1], {302, family[1].function.permuted(logic::all_permutations6()[10]),
+                           {0, 1, 3, 2, 5, 4}, slicel});
 }
 
 TEST(ScanEngine, FirstChunkBucketCollision) {
@@ -152,24 +164,18 @@ TEST(ScanEngine, FirstChunkBucketCollision) {
   bitstream::write_lut_init(bytes, 2000, opt.offset_d, slicel, g.bits());
 
   const auto engine = scan_family(bytes, family, opt);
-  const auto legacy = scan_family_legacy(bytes, family, opt);
-  expect_same_scan(engine, legacy);
-
-  auto positions = [](const FamilyCount& fc) {
-    std::set<size_t> out;
-    for (const auto& m : fc.matches) out.insert(m.byte_index);
-    return out;
-  };
-  EXPECT_TRUE(positions(engine[0]).count(50));
-  EXPECT_FALSE(positions(engine[0]).count(2000));
-  EXPECT_TRUE(positions(engine[1]).count(2000));
-  EXPECT_FALSE(positions(engine[1]).count(50));
+  expect_engine_output(bytes, family, engine, opt, /*naive=*/true);
+  EXPECT_TRUE(match_positions(engine[0].matches).count(50));
+  EXPECT_FALSE(match_positions(engine[0].matches).count(2000));
+  EXPECT_TRUE(match_positions(engine[1].matches).count(2000));
+  EXPECT_FALSE(match_positions(engine[1].matches).count(50));
 }
 
 TEST(ScanEngine, MarkSemanticsLowestOrderWins) {
-  // A function symmetric enough to match under several chunk orders at the
-  // same position: the engine must report the same single (order, perm) the
-  // serial order loop settles on.
+  // XOR of 6 variables is symmetric: every permutation gives the same table,
+  // and its stored image reads the same under several chunk orders.  Mark(l)
+  // reports one match at the planted position: the lowest matching order
+  // index, and the first permutation (the identity).
   const TruthTable6 x6(0x6996966996696996ull);  // XOR of 6 vars
   std::vector<Candidate> family(1);
   family[0].name = "xor6";
@@ -179,19 +185,22 @@ TEST(ScanEngine, MarkSemanticsLowestOrderWins) {
   opt.try_all_orders = true;
   std::vector<u8> bytes(512, 0);
   bitstream::write_lut_init(bytes, 16, opt.offset_d, all_chunk_orders()[13], x6.bits());
+  std::vector<size_t> tied;
+  for (size_t o = 0; o < all_chunk_orders().size(); ++o) {
+    const auto b = bitstream::assemble_b(bytes, 16, opt.offset_d, all_chunk_orders()[o]);
+    if (b == bitstream::xi_permute(x6.bits())) tied.push_back(o);
+  }
+  // The planted order 13 ties with orders 2, 3 and 12; the lowest wins.
+  EXPECT_EQ(tied, (std::vector<size_t>{2, 3, 12, 13}));
 
   const auto engine = scan_family(bytes, family, opt);
-  const auto legacy = scan_family_legacy(bytes, family, opt);
-  expect_same_scan(engine, legacy);
-  std::set<size_t> idx;
-  for (const auto& m : engine[0].matches) {
-    EXPECT_TRUE(idx.insert(m.byte_index).second) << "duplicate index " << m.byte_index;
-  }
+  expect_engine_output(bytes, family, engine, opt, /*naive=*/true);
+  expect_match(engine[0], {16, x6, logic::all_permutations6()[0], all_chunk_orders()[2]});
 }
 
 TEST(ScanEngine, ThreadCountInvariance) {
-  // 1-thread and 8-thread scans over the pool must be bit-identical, and
-  // identical to the legacy scan under both pools.
+  // 1-thread and 8-thread scans over the pool must be bit-identical; the
+  // serial scan satisfies the contract and finds every planted site.
   const auto family = small_family();
   auto bytes = random_buffer(1 << 16, 1234);
   for (size_t i = 0; i < family.size(); ++i) {
@@ -202,12 +211,19 @@ TEST(ScanEngine, ThreadCountInvariance) {
   serial_opt.offset_d = 404;
   serial_opt.shard_grain = 1 << 10;  // force real sharding on a 64 KiB buffer
   const auto serial = scan_family(bytes, family, serial_opt);
+  expect_engine_output(bytes, family, serial, serial_opt, /*naive=*/false);
+  for (size_t i = 0; i < family.size(); ++i) {
+    EXPECT_TRUE(match_positions(serial[i].matches).count(997 * (i + 1))) << family[i].name;
+  }
 
   runtime::ThreadPool pool(8);
   FindLutOptions pooled_opt = serial_opt;
   pooled_opt.pool = &pool;
-  expect_same_scan(scan_family(bytes, family, pooled_opt), serial);
-  expect_same_scan(scan_family_legacy(bytes, family, pooled_opt), serial);
+  const auto pooled = scan_family(bytes, family, pooled_opt);
+  ASSERT_EQ(pooled.size(), serial.size());
+  for (size_t c = 0; c < serial.size(); ++c) {
+    EXPECT_EQ(pooled[c].matches, serial[c].matches) << family[c].name;
+  }
 }
 
 TEST(ScanEngine, IndexCacheReusesCompiledIndexes) {
@@ -291,6 +307,24 @@ TEST(ScanEngine, NoisyVotingPipelineIdenticalAtOneAndEightScanThreads) {
     EXPECT_EQ(res.corruption_detections, reference->corruption_detections);
     EXPECT_EQ(res.transient_rejections, reference->transient_rejections);
   }
+}
+
+TEST(ScanEngine, FirstAndLastValidPositions) {
+  // The window at l spans bytes [l, l + 3d + 2): plant at l = 0 and at the
+  // last l whose window still fits, so the scan's range ends are exercised.
+  const auto family = small_family();
+  FindLutOptions opt;
+  opt.offset_d = 101;
+  std::vector<u8> bytes(1024, 0);
+  const size_t last = bytes.size() - 3 * opt.offset_d - bitstream::kChunkBytes;
+  const auto& slicem = bitstream::device_chunk_orders()[1];
+  bitstream::write_lut_init(bytes, 0, opt.offset_d, slicem, family[0].function.bits());
+  bitstream::write_lut_init(bytes, last, opt.offset_d, slicem, family[1].function.bits());
+
+  const auto engine = scan_family(bytes, family, opt);
+  expect_engine_output(bytes, family, engine, opt, /*naive=*/true);
+  EXPECT_TRUE(match_positions(engine[0].matches).count(0));
+  EXPECT_TRUE(match_positions(engine[1].matches).count(last));
 }
 
 TEST(ScanEngine, EmptyTinyAndDegenerateInputs) {
