@@ -11,7 +11,7 @@ namespace sbm::attack {
 
 namespace {
 
-// v2: adds "probes" — settled outcomes salvaged from a dying batch
+// v2: adds "probes" — the run's settled probe outcomes
 // (AttackCheckpoint::SavedProbe), so resume never re-pays them.
 constexpr u64 kCheckpointVersion = 2;
 
@@ -195,6 +195,12 @@ std::optional<AttackCheckpoint> AttackCheckpoint::from_json(std::string_view jso
       p.rejected = rejected->as_bool();
       for (const JsonValue& word : keystream->items) {
         p.keystream.push_back(static_cast<u32>(word.as_u64()));
+      }
+      // A restored probe is served as a cache hit, so its shape must be one
+      // the probe cache itself could have stored: a value of exactly `words`
+      // words, or a rejection without one.
+      if (p.words == 0 || p.keystream.size() != (p.rejected ? 0 : p.words)) {
+        return std::nullopt;
       }
       cp.probes.push_back(std::move(p));
     }

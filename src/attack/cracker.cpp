@@ -149,14 +149,8 @@ CrackResult Cracker::execute() {
     result.cache_hits = session_.cache_hits();
     result.probe_calls = session_.probe_calls();
     result.retry_stats = session_.stats();
-    result.salvaged = session_.salvaged();
     return result;
   };
-
-  if (!config_.resume.empty() && config_.cache != nullptr) {
-    const size_t seeded = session_.seed_resume(config_.resume);
-    note("resume: pre-seeded " + std::to_string(seeded) + " salvaged probe outcome(s)");
-  }
 
   // Setup: baseline keystream + CRC neutralization (same contract as the
   // key-recovery pipeline).

@@ -138,14 +138,11 @@ struct CrackLoopStats {
 /// is a pure function of the hypothesis state.
 CrackLoopStats run_crack_loop(DecoyHypothesisSet& hyp, const CrackProbeFn& probe);
 
-/// The shared probe policy plus checkpoint resume.  `words` >= 16 keeps the
-/// 65 reference classes pairwise distinct.
-struct CrackerConfig : ProbeSessionConfig {
-  /// Settled probes from a prior partial run (checkpoint resume); requires
-  /// `cache`.  Identical probes are then answered without touching the
-  /// board, so a resumed crack re-pays zero settled probes.
-  std::vector<SavedProbe> resume;
-};
+/// The cracker runs on the shared probe policy.  `words` >= 16 keeps the 65
+/// reference classes pairwise distinct.  To resume, restore_probes a prior
+/// run's settled outcomes into `cache` first: identical probes are then
+/// answered without touching the board.
+using CrackerConfig = ProbeSessionConfig;
 
 struct CrackResult {
   bool success = false;  // ran to a verdict (unique or proven ambiguous)
@@ -169,7 +166,6 @@ struct CrackResult {
   size_t cache_hits = 0;
   size_t probe_calls = 0;
   runtime::RetryStats retry_stats;
-  std::vector<SavedProbe> salvaged;  // settled outcomes for checkpointing
 
   std::vector<std::string> log;
 };

@@ -55,7 +55,7 @@ AttackCheckpoint Attack::make_checkpoint(const AttackResult& result) const {
   cp.feedback = result.feedback;
   for (const Patch& p : beta_patches_) cp.beta.push_back({p.byte_index, p.order, p.init});
   cp.load_active_high = result.load_active_high;
-  cp.probes = session_.salvaged();
+  if (config_.cache != nullptr) cp.probes = export_probes(*config_.cache);
   return cp;
 }
 
@@ -66,16 +66,6 @@ AttackResult Attack::execute() {
   initial_internal_runs_ = oracle_.internal_runs();
   phase_ = "setup";
   obs::Span exec_span("attack", "execute");
-
-  // Resume support: pre-seed the cache with the settled probe outcomes a
-  // prior partial run salvaged into its checkpoint, so they answer as cache
-  // hits here instead of re-running physically.
-  if (config_.resume != nullptr && config_.cache != nullptr &&
-      !config_.resume->probes.empty()) {
-    const size_t seeded = session_.seed_resume(config_.resume->probes);
-    note("resume: pre-seeded " + std::to_string(seeded) +
-         " salvaged probe outcome(s) from checkpoint");
-  }
 
   // Step 0: baseline keystream and CRC neutralization.
   bool ok = true;
@@ -195,16 +185,15 @@ bool Attack::phase_zpath(AttackResult& result) {
       if (lost(result)) return false;
       if (!z) continue;
       int dead_bit = -1;
-      bool clean = true;
       u32 diff_mask = 0;
-      for (size_t t = 0; t < z->size() && clean; ++t) diff_mask |= (*z)[t] ^ z_golden_[t];
+      for (size_t t = 0; t < z->size(); ++t) diff_mask |= (*z)[t] ^ z_golden_[t];
       if (std::popcount(diff_mask) == 1) {
         const unsigned bit = static_cast<unsigned>(std::countr_zero(diff_mask));
         bool stuck0 = true;
         for (const u32 w : *z) stuck0 = stuck0 && bit_of(w, bit) == 0;
         if (stuck0) dead_bit = static_cast<int>(bit);
       }
-      if (dead_bit < 0 || !clean) continue;
+      if (dead_bit < 0) continue;
       if (covered.count(static_cast<unsigned>(dead_bit))) continue;  // overlap pruning
       covered.insert(static_cast<unsigned>(dead_bit));
       ZPathLut lut;

@@ -45,25 +45,13 @@
 #include "runtime/retry.h"
 #include "snow3g/reverse.h"
 
-namespace sbm::runtime {
-class ProbeCache;
-}
-
 namespace sbm::attack {
-
-struct AttackCheckpoint;
 
 /// The shared probe policy plus what only the key-recovery pipeline needs.
 struct PipelineConfig : ProbeSessionConfig {
   /// Attacker-known IV the host uses (public parameter); needed only for
   /// the final confirmation of the recovered key.
   snow3g::Iv iv{};
-  /// Resume from a prior partial run: the checkpoint's salvaged probe
-  /// outcomes (AttackCheckpoint::probes) are pre-seeded into `cache` before
-  /// the first phase, so probes the dead board already answered are never
-  /// re-paid physically.  Requires `cache`; ignored without one.  The
-  /// checkpoint must outlive execute().
-  const AttackCheckpoint* resume = nullptr;
   bool verbose = false;
 };
 
@@ -109,12 +97,11 @@ struct AttackCheckpoint {
   std::vector<BetaPatch> beta;
   bool load_active_high = true;
 
-  /// Probe outcomes that settled (confirmed value or persistent rejection)
-  /// during the run — the checkpoint-side mirror of the probe cache.
-  /// Persisting these means a resume — or a fleet migration that replays a
-  /// batch — never re-pays physical runs the dead board already completed:
-  /// the resumed attack pre-seeds its cache from them and re-probes only
-  /// what never settled.
+  /// Every settled probe outcome (confirmed value or persistent rejection)
+  /// in the run's cache when the checkpoint was built, sorted by key
+  /// (export_probes; empty without a cache).  To resume, restore_probes
+  /// them into the next run's cache: the dead board's completed work then
+  /// answers as hits, and only what never settled is re-probed.
   using SavedProbe = sbm::attack::SavedProbe;
   std::vector<SavedProbe> probes;
 
@@ -181,14 +168,13 @@ class Attack {
   AttackResult execute();
 
  private:
-  /// Probing, caching, confirmation and salvage all live in the shared
+  /// Probing, caching and confirmation all live in the shared
   /// ProbeSession (attack/probe_session.h); the pipeline only adds the
   /// partial-result bookkeeping on top.
   runtime::ProbeOutcome probe(const std::vector<u8>& bytes) { return session_.probe(bytes); }
   std::vector<runtime::ProbeOutcome> probe_batch(std::span<const std::vector<u8>> batch) {
     return session_.probe_batch(batch);
   }
-  bool device_lost() const { return session_.device_lost(); }
   /// When an irrecoverable fault is latched: marks `result` partial, names
   /// the phase in `failure`, and returns true (the phase must stop).
   bool lost(AttackResult& result);
@@ -217,7 +203,7 @@ class Attack {
   Oracle& oracle_;
   PipelineConfig config_;
   /// The shared probe engine: one logical-probe contract (cache, confirmed
-  /// reads, accounting, salvage) for this run.
+  /// reads, accounting) for this run.
   ProbeSession session_;
   size_t initial_oracle_runs_ = 0;
   size_t initial_internal_runs_ = 0;

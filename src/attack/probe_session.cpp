@@ -4,7 +4,7 @@
 #include <deque>
 #include <map>
 #include <set>
-#include <unordered_map>
+#include <tuple>
 
 #include "attack/countermeasure.h"
 #include "attack/scan.h"
@@ -147,22 +147,6 @@ ProbeOutcome ProbeSession::probe(const std::vector<u8>& bytes) {
   return std::move(probe_batch({&bytes, 1})[0]);
 }
 
-void ProbeSession::salvage(u64 key_hi, u64 key_lo, const ProbeOutcome& outcome) {
-  for (const auto& p : salvage_) {
-    if (p.key_hi == key_hi && p.key_lo == key_lo &&
-        p.words == static_cast<u64>(config_.words)) {
-      return;
-    }
-  }
-  SavedProbe saved;
-  saved.key_hi = key_hi;
-  saved.key_lo = key_lo;
-  saved.words = static_cast<u64>(config_.words);
-  saved.rejected = !outcome.ok();
-  if (outcome.ok()) saved.keystream = outcome.value();
-  salvage_.push_back(std::move(saved));
-}
-
 std::vector<ProbeOutcome> ProbeSession::probe_batch(std::span<const std::vector<u8>> batch) {
   static obs::Histogram& batch_size =
       obs::MetricsRegistry::global().histogram("attack.probe_batch_size");
@@ -182,19 +166,14 @@ std::vector<ProbeOutcome> ProbeSession::probe_batch(std::span<const std::vector<
   // serial loop produces.
   const size_t n = batch.size();
   std::vector<ProbeOutcome> out(n);
-  struct KeyHash {
-    size_t operator()(const runtime::ProbeKey& k) const {
-      return static_cast<size_t>(k.hi ^ (k.lo * 0x9e3779b97f4a7c15ull) ^ k.words);
-    }
-  };
   std::vector<runtime::ProbeKey> keys(n);
-  std::unordered_map<runtime::ProbeKey, size_t, KeyHash> first_miss;  // key -> batch index
+  FlatMap<runtime::ProbeKey, size_t, runtime::ProbeCache::KeyHash> first_miss;  // -> batch index
   std::vector<std::vector<u8>> misses;
   std::vector<size_t> miss_index;
   std::vector<size_t> dups;
   for (size_t i = 0; i < n; ++i) {
     keys[i] = runtime::make_probe_key(batch[i], config_.words);
-    if (first_miss.count(keys[i])) {
+    if (first_miss.find(keys[i]) != nullptr) {
       dups.push_back(i);  // lookup deferred until after the miss is stored
       continue;
     }
@@ -203,7 +182,7 @@ std::vector<ProbeOutcome> ProbeSession::probe_batch(std::span<const std::vector<
       out[i] = ProbeOutcome(std::move(*cached));
       continue;
     }
-    first_miss.emplace(keys[i], i);
+    first_miss.try_emplace(keys[i], i);
     misses.push_back(batch[i]);
     miss_index.push_back(i);
   }
@@ -213,7 +192,6 @@ std::vector<ProbeOutcome> ProbeSession::probe_batch(std::span<const std::vector<
     for (size_t k = 0; k < misses.size(); ++k) {
       if (cacheable(results[k])) {
         config_.cache->store(keys[miss_index[k]], results[k].to_optional());
-        salvage(keys[miss_index[k]].hi, keys[miss_index[k]].lo, results[k]);
       }
       out[miss_index[k]] = finalize(std::move(results[k]));
     }
@@ -225,7 +203,7 @@ std::vector<ProbeOutcome> ProbeSession::probe_batch(std::span<const std::vector<
     } else {
       // The first occurrence ended in an uncacheable (fatal) outcome; the
       // duplicate shares it without pretending a cache hit happened.
-      out[i] = out[first_miss[keys[i]]];
+      out[i] = out[*first_miss.find(keys[i])];
     }
   }
   return out;
@@ -245,14 +223,22 @@ std::vector<u8> ProbeSession::with_patches(const std::vector<u8>& base,
   return bytes;
 }
 
-size_t ProbeSession::seed_resume(std::span<const SavedProbe> probes) {
-  if (config_.cache == nullptr) return 0;
+std::vector<SavedProbe> export_probes(const runtime::ProbeCache& cache) {
+  std::vector<SavedProbe> probes;
+  cache.for_each([&](const runtime::ProbeKey& key, const runtime::ProbeResult& result) {
+    probes.push_back({key.hi, key.lo, key.words, !result, result.value_or(std::vector<u32>{})});
+  });
+  std::sort(probes.begin(), probes.end(), [](const SavedProbe& a, const SavedProbe& b) {
+    return std::tie(a.key_hi, a.key_lo, a.words) < std::tie(b.key_hi, b.key_lo, b.words);
+  });
+  return probes;
+}
+
+void restore_probes(std::span<const SavedProbe> probes, runtime::ProbeCache& cache) {
   for (const SavedProbe& p : probes) {
-    config_.cache->store(runtime::ProbeKey{p.key_hi, p.key_lo, p.words},
-                         p.rejected ? runtime::ProbeResult{}
-                                    : runtime::ProbeResult(p.keystream));
+    cache.store(runtime::ProbeKey{p.key_hi, p.key_lo, p.words},
+                p.rejected ? runtime::ProbeResult{} : runtime::ProbeResult(p.keystream));
   }
-  return probes.size();
 }
 
 std::optional<BetaStage> establish_beta(ProbeSession& session, const std::vector<u8>& base,

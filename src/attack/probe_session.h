@@ -9,10 +9,10 @@
 //     outcome is settled, and the FIFO refill scheduler packs every
 //     demanded physical read into full bit-sliced oracle chunks;
 //   * poisoning guard — only confirmed values and persistent rejections
-//     enter the cache;
-//   * salvage — settled outcomes are recorded for checkpointing, so a
-//     resumed run (or a fleet migration replay) never re-pays probes a
-//     dead board already answered.
+//     enter the cache, which is therefore the one record of settled
+//     probes: a checkpoint exports it (export_probes) and a resume restores
+//     it (restore_probes), so a resumed run never re-pays probes a dead
+//     board already answered.
 //
 // Accounting is the contract of DESIGN.md §4f: oracle_runs counts logical
 // probes only (noise- and controller-invariant by construction); retries,
@@ -50,10 +50,9 @@ struct Patch {
   u64 init = 0;
 };
 
-/// A probe outcome that settled (confirmed value or persistent rejection)
-/// during a run — the checkpoint-side mirror of the probe cache.  Keys are
-/// runtime::make_probe_key digests of the patched bitstream, exactly as the
-/// probe cache stores them.
+/// A probe outcome that settled (confirmed value or persistent rejection):
+/// one probe cache entry in checkpoint form.  Keys are runtime::make_probe_key
+/// digests of the patched bitstream, exactly as the probe cache stores them.
 struct SavedProbe {
   u64 key_hi = 0;
   u64 key_lo = 0;
@@ -63,8 +62,15 @@ struct SavedProbe {
   bool operator==(const SavedProbe&) const = default;
 };
 
+/// Every settled outcome in `cache`, sorted by key so a checkpoint built
+/// from it is deterministic.
+std::vector<SavedProbe> export_probes(const runtime::ProbeCache& cache);
+/// Stores `probes` (a checkpoint's settled outcomes) into `cache`, so a
+/// resumed run answers them as hits instead of re-running them physically.
+void restore_probes(std::span<const SavedProbe> probes, runtime::ProbeCache& cache);
+
 /// The attacker's probe policy, shared by every oracle-guided engine
-/// (PipelineConfig and CrackerConfig derive from it).
+/// (PipelineConfig derives from it; the Cracker uses it as is).
 struct ProbeSessionConfig {
   size_t words = 16;  // keystream words per probe (the paper's w)
   CrcHandling crc = CrcHandling::kDisable;
@@ -111,11 +117,6 @@ class ProbeSession {
   std::vector<u8> with_patches(const std::vector<u8>& base,
                                const std::vector<Patch>& patches) const;
 
-  /// Pre-seeds the cache with settled outcomes a prior partial run salvaged
-  /// into its checkpoint, so they answer as hits instead of re-running
-  /// physically.  No-op without a cache.  Returns the number seeded.
-  size_t seed_resume(std::span<const SavedProbe> probes);
-
   /// First irrecoverable error seen (kNone while the device is healthy).
   runtime::ProbeError fatal() const { return fatal_; }
   bool device_lost() const { return fatal_ != runtime::ProbeError::kNone; }
@@ -126,13 +127,10 @@ class ProbeSession {
   size_t cache_hits() const { return cache_hits_; }
   size_t probe_calls() const { return probe_calls_; }
   const runtime::RetryStats& stats() const { return stats_; }
-  /// Settled, cacheable outcomes recorded for checkpoint persistence.
-  const std::vector<SavedProbe>& salvaged() const { return salvage_; }
 
  private:
   std::vector<runtime::ProbeOutcome> confirm_batch(std::span<const std::vector<u8>> batch);
   runtime::ProbeOutcome finalize(runtime::ProbeOutcome outcome);
-  void salvage(u64 key_hi, u64 key_lo, const runtime::ProbeOutcome& outcome);
 
   Oracle& oracle_;
   ProbeSessionConfig config_;
@@ -145,7 +143,6 @@ class ProbeSession {
   size_t probe_calls_ = 0;
   size_t paper_runs_ = 0;
   runtime::RetryStats stats_;
-  std::vector<SavedProbe> salvage_;
   runtime::ProbeError fatal_ = runtime::ProbeError::kNone;
 };
 

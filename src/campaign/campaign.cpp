@@ -95,8 +95,7 @@ TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::Th
   }
 
   if (out.crack) {
-    attack::Cracker cracker(oracle, sys.golden.bytes,
-                            attack::CrackerConfig{policy, /*resume=*/{}});
+    attack::Cracker cracker(oracle, sys.golden.bytes, policy);
     const attack::CrackResult res = cracker.execute();
 
     out.attack_success = res.success;

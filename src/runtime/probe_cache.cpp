@@ -24,7 +24,8 @@ obs::Counter& miss_counter() {
 
 // Reads an 8-byte little-endian chunk.  One memcpy (a plain load on every
 // target this builds for) instead of eight byte shifts — make_probe_key runs
-// once per logical probe over ~100KB bitstreams, so this loop is hot.
+// once per logical probe over the whole bitstream (6,952 bytes for the
+// default victim), so this loop is hot.
 u64 load_chunk(const u8* p) {
   if constexpr (std::endian::native == std::endian::little) {
     u64 chunk;

@@ -60,11 +60,21 @@ class ProbeCache {
   size_t misses() const { return misses_.load(std::memory_order_relaxed); }
   size_t entries() const;
 
+  /// Visits every stored (key, outcome) pair, shard by shard under that
+  /// shard's lock, in unspecified order.  Counts no hit or miss.
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    for (const Shard& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      shard.map.for_each(fn);
+    }
+  }
+
   void clear();
 
- public:
-  /// Hash over the already well-mixed 128-bit content key.  Public so the
-  /// accounting-parity test can drive a reference map with the same hash.
+  /// Hash over the already well-mixed 128-bit content key.  Public so every
+  /// map keyed by ProbeKey (the session's in-batch dedupe, the fault model's
+  /// memo, the accounting-parity test) hashes the same way.
   struct KeyHash {
     size_t operator()(const ProbeKey& k) const {
       return static_cast<size_t>(k.hi ^ (k.lo * 0x9e3779b97f4a7c15ull) ^ k.words);

@@ -255,14 +255,14 @@ TEST(DecoyHypothesis, BruteForceDifferentialOnSmallSets) {
 // The device-bound Cracker on real victims.
 // ---------------------------------------------------------------------------
 
+/// Cracks `sys` through `cache` (a private one when null).
 CrackResult crack_victim(const fpga::System& sys, runtime::ThreadPool* pool,
-                         std::vector<SavedProbe> resume = {}) {
+                         runtime::ProbeCache* cache = nullptr) {
   DeviceOracle oracle(sys, kIv, pool);
-  runtime::ProbeCache cache;
+  runtime::ProbeCache private_cache;
   CrackerConfig cfg;
-  cfg.cache = &cache;
+  cfg.cache = cache != nullptr ? cache : &private_cache;
   if (pool != nullptr) cfg.find.pool = pool;
-  cfg.resume = std::move(resume);
   Cracker cracker(oracle, sys.golden.bytes, cfg);
   return cracker.execute();
 }
@@ -351,19 +351,23 @@ TEST(Cracker, ThreadAndSimdBackendInvariance) {
   }
 }
 
-// Checkpoint-resume contract (the PR-9 cache-salvage semantics): a second
-// cracker seeded with the first run's settled probes answers every probe
-// from the salvage and re-pays zero physical configurations.
+// Checkpoint-resume contract: a second cracker whose cache is restored from
+// the first run's exported settled probes answers every probe from them and
+// re-pays zero physical configurations.
 TEST(Cracker, ResumeRePaysZeroSettledProbes) {
   fpga::SystemOptions opt;
   opt.protected_variant = true;
   const fpga::System sys = fpga::build_system(opt);
 
-  const CrackResult first = crack_victim(sys, nullptr);
+  runtime::ProbeCache first_cache;
+  const CrackResult first = crack_victim(sys, nullptr, &first_cache);
   ASSERT_TRUE(first.success) << first.failure;
-  ASSERT_FALSE(first.salvaged.empty());
+  const std::vector<SavedProbe> settled = export_probes(first_cache);
+  ASSERT_FALSE(settled.empty());
 
-  const CrackResult resumed = crack_victim(sys, nullptr, first.salvaged);
+  runtime::ProbeCache resumed_cache;
+  restore_probes(settled, resumed_cache);
+  const CrackResult resumed = crack_victim(sys, nullptr, &resumed_cache);
   ASSERT_TRUE(resumed.success) << resumed.failure;
   EXPECT_EQ(resumed.adaptive_probes, 0u);
   EXPECT_GT(resumed.cache_hits, 0u);

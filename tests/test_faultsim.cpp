@@ -6,9 +6,12 @@
 // never a wrong key); and the probe cache must never serve a corrupt read.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -39,22 +42,28 @@ const fpga::System& shared_system() {
   return sys;
 }
 
-attack::PipelineConfig cached_config(runtime::ProbeCache* cache) {
+/// One attack on the shared system through `oracle` under `retry`, probing
+/// through `cache` (a private one when null) after restoring `resume` into
+/// it (a prior run's checkpoint probes; empty for a cold start).
+attack::AttackResult run_attack(attack::Oracle& oracle, runtime::RetryPolicy retry = {},
+                                std::span<const attack::SavedProbe> resume = {},
+                                runtime::ProbeCache* cache = nullptr) {
+  runtime::ProbeCache private_cache;
   attack::PipelineConfig cfg;
   cfg.iv = kHostIv;
-  cfg.cache = cache;
-  return cfg;
+  cfg.cache = cache != nullptr ? cache : &private_cache;
+  cfg.retry = retry;
+  attack::restore_probes(resume, *cfg.cache);
+  attack::Attack attack(oracle, shared_system().golden.bytes, cfg);
+  return attack.execute();
 }
 
 /// Clean single-shot cached reference run (shared across tests; the attack
 /// is deterministic, so one run serves as the baseline for all of them).
 const attack::AttackResult& clean_reference() {
   static const attack::AttackResult res = [] {
-    const fpga::System& sys = shared_system();
-    attack::DeviceOracle oracle(sys, kHostIv, nullptr, 64);
-    runtime::ProbeCache cache;
-    attack::Attack attack(oracle, sys.golden.bytes, cached_config(&cache));
-    return attack.execute();
+    attack::DeviceOracle oracle(shared_system(), kHostIv, nullptr, 64);
+    return run_attack(oracle);
   }();
   return res;
 }
@@ -356,11 +365,7 @@ TEST(NoisyAttack, RecoversKeyWithHonestAccounting) {
   const fpga::System& sys = shared_system();
   attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
   FaultyOracle oracle(device, NoiseProfile::mild());
-  runtime::ProbeCache cache;
-  attack::PipelineConfig cfg = cached_config(&cache);
-  cfg.retry = runtime::RetryPolicy::voting(3);
-  attack::Attack attack(oracle, sys.golden.bytes, cfg);
-  const attack::AttackResult res = attack.execute();
+  const attack::AttackResult res = run_attack(oracle, runtime::RetryPolicy::voting(3));
 
   ASSERT_TRUE(res.success) << res.failure;
   EXPECT_FALSE(res.partial);
@@ -406,11 +411,7 @@ TEST(NoisyAttack, TransientFaultsOfEveryKindAreAbsorbed) {
       .flip_at(zpath_base + 11, 3, 17);
   attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
   FaultyOracle oracle(device, plan);
-  runtime::ProbeCache cache;
-  attack::PipelineConfig cfg = cached_config(&cache);
-  cfg.retry = pair_voting();
-  attack::Attack attack(oracle, sys.golden.bytes, cfg);
-  const attack::AttackResult res = attack.execute();
+  const attack::AttackResult res = run_attack(oracle, pair_voting());
 
   ASSERT_TRUE(res.success) << res.failure;
   EXPECT_EQ(res.secrets.key, sys.options.key);
@@ -461,11 +462,7 @@ TEST(NoisyAttack, DeathInEachPhaseYieldsPartialResultWithCheckpoint) {
 
     attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
     FaultyOracle oracle(device, FaultPlan().kill_at(kill_index));
-    runtime::ProbeCache cache;
-    attack::PipelineConfig cfg = cached_config(&cache);
-    cfg.retry = pair_voting();
-    attack::Attack attack(oracle, sys.golden.bytes, cfg);
-    const attack::AttackResult res = attack.execute();
+    const attack::AttackResult res = run_attack(oracle, pair_voting());
 
     // Contained: a partial result naming the phase, never a wrong key.
     EXPECT_FALSE(res.success);
@@ -541,11 +538,7 @@ TEST(NoisyAttack, PropertyRandomProfilesBalanceTheRunLedger) {
 
     attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
     FaultyOracle oracle(device, noise);
-    runtime::ProbeCache cache;
-    attack::PipelineConfig cfg = cached_config(&cache);
-    cfg.retry = runtime::RetryPolicy::voting(votes);
-    attack::Attack attack(oracle, sys.golden.bytes, cfg);
-    const attack::AttackResult res = attack.execute();
+    const attack::AttackResult res = run_attack(oracle, runtime::RetryPolicy::voting(votes));
 
     // (a) The ledger balances against the oracle's own count.
     EXPECT_EQ(res.physical_runs, res.oracle_runs + res.retry_runs + res.vote_runs);
@@ -570,11 +563,7 @@ TEST(NoisyAttack, PropertyRandomProfilesBalanceTheRunLedger) {
 
     attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
     FaultyOracle oracle(device, noise);
-    runtime::ProbeCache cache;
-    attack::PipelineConfig cfg = cached_config(&cache);
-    cfg.retry = runtime::RetryPolicy::voting(3);
-    attack::Attack attack(oracle, sys.golden.bytes, cfg);
-    const attack::AttackResult res = attack.execute();
+    const attack::AttackResult res = run_attack(oracle, runtime::RetryPolicy::voting(3));
 
     EXPECT_EQ(res.physical_runs, res.oracle_runs + res.retry_runs + res.vote_runs);
     EXPECT_EQ(res.physical_runs, oracle.runs());
@@ -599,10 +588,7 @@ TEST(ProbeCacheGuard, CorruptFirstReadNeverPoisonsTheCache) {
   runtime::ProbeCache cache;
   attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
   FaultyOracle oracle(device, FaultPlan().flip_at(0, 0, 9));
-  attack::PipelineConfig cfg = cached_config(&cache);
-  cfg.retry = pair_voting();
-  attack::Attack noisy(oracle, sys.golden.bytes, cfg);
-  const attack::AttackResult first = noisy.execute();
+  const attack::AttackResult first = run_attack(oracle, pair_voting(), {}, &cache);
   ASSERT_TRUE(first.success) << first.failure;
   EXPECT_EQ(oracle.injected_flips(), 1u);
   EXPECT_GE(first.corruption_detections, 1u);
@@ -611,8 +597,7 @@ TEST(ProbeCacheGuard, CorruptFirstReadNeverPoisonsTheCache) {
   // if the flipped read had been stored, its very first cache hit would be
   // the corrupt baseline and the pipeline would diverge from the reference.
   attack::DeviceOracle verifier(sys, kHostIv, nullptr, 64);
-  attack::Attack replay(verifier, sys.golden.bytes, cached_config(&cache));
-  const attack::AttackResult second = replay.execute();
+  const attack::AttackResult second = run_attack(verifier, {}, {}, &cache);
   ASSERT_TRUE(second.success) << second.failure;
   EXPECT_EQ(second.secrets.key, sys.options.key);
   EXPECT_EQ(second.faulty_keystream, clean.faulty_keystream);
@@ -630,17 +615,13 @@ TEST(ProbeCacheGuard, FatalOutcomesAreNeverStored) {
   runtime::ProbeCache cache;
   attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
   FaultyOracle oracle(device, FaultPlan().kill_at(0));
-  attack::PipelineConfig cfg = cached_config(&cache);
-  cfg.retry = pair_voting();
-  attack::Attack doomed(oracle, sys.golden.bytes, cfg);
-  const attack::AttackResult first = doomed.execute();
+  const attack::AttackResult first = run_attack(oracle, pair_voting(), {}, &cache);
   EXPECT_FALSE(first.success);
   EXPECT_TRUE(first.partial);
   EXPECT_EQ(first.checkpoint.phase, "setup");
 
   attack::DeviceOracle fresh(sys, kHostIv, nullptr, 64);
-  attack::Attack retry_attack(fresh, sys.golden.bytes, cached_config(&cache));
-  const attack::AttackResult second = retry_attack.execute();
+  const attack::AttackResult second = run_attack(fresh, {}, {}, &cache);
   ASSERT_TRUE(second.success) << second.failure;
   // Identical miss/hit split to a cold-cache clean run: nothing bogus was
   // pre-seeded by the dead board.
@@ -649,21 +630,17 @@ TEST(ProbeCacheGuard, FatalOutcomesAreNeverStored) {
 }
 
 TEST(AttackCheckpointTest, SettledProbesSurviveDeathAndResumeNeverRepaysThem) {
-  // Satellite acceptance: a device death mid-phase leaves every settled,
-  // cacheable probe outcome in the checkpoint; a resumed attack pre-seeds
-  // its cache from them, so the dead board's completed work is never
-  // re-bought on the replacement board.
+  // A device death mid-phase leaves every settled, cacheable probe outcome
+  // in the checkpoint; restoring them into the resumed attack's cache means
+  // the dead board's completed work is never re-bought on the replacement
+  // board.
   const attack::AttackResult& clean = clean_reference();
   const fpga::System& sys = shared_system();
   const size_t setup_misses = clean.phase_runs[0].second;
 
   attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
   FaultyOracle oracle(device, FaultPlan().kill_at(2 * setup_misses + 100));
-  runtime::ProbeCache doomed_cache;
-  attack::PipelineConfig cfg = cached_config(&doomed_cache);
-  cfg.retry = pair_voting();
-  attack::Attack doomed(oracle, sys.golden.bytes, cfg);
-  const attack::AttackResult first = doomed.execute();
+  const attack::AttackResult first = run_attack(oracle, pair_voting());
   ASSERT_FALSE(first.success);
   ASSERT_TRUE(first.partial);
 
@@ -674,20 +651,50 @@ TEST(AttackCheckpointTest, SettledProbesSurviveDeathAndResumeNeverRepaysThem) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, cp);
 
-  // Resume on a fresh board with a cold cache: every checkpointed probe is
-  // answered from the checkpoint, everything else is re-probed — the sum is
-  // exactly the clean run's miss/hit split.
+  // Resume on a fresh board with a cache restored from the checkpoint:
+  // every checkpointed probe is answered from it, everything else is
+  // re-probed — the sum is exactly the clean run's miss/hit split.
   attack::DeviceOracle fresh(sys, kHostIv, nullptr, 64);
-  runtime::ProbeCache resumed_cache;
-  attack::PipelineConfig resume_cfg = cached_config(&resumed_cache);
-  resume_cfg.resume = &cp;
-  attack::Attack resumed_attack(fresh, sys.golden.bytes, resume_cfg);
-  const attack::AttackResult resumed = resumed_attack.execute();
+  const attack::AttackResult resumed = run_attack(fresh, {}, cp.probes);
   ASSERT_TRUE(resumed.success) << resumed.failure;
   EXPECT_EQ(resumed.secrets.key, sys.options.key);
   EXPECT_EQ(resumed.faulty_keystream, clean.faulty_keystream);
   EXPECT_EQ(resumed.oracle_runs + cp.probes.size(), clean.oracle_runs);
   EXPECT_EQ(resumed.cache_hits, clean.cache_hits + cp.probes.size());
+}
+
+TEST(AttackCheckpointTest, ChainedResumeKeepsEverySettledProbe) {
+  // Two boards die in a row.  The second run's checkpoint must still carry
+  // what the first board settled (restored into its cache, never re-probed),
+  // so the third run re-pays none of either board's work.
+  const attack::AttackResult& clean = clean_reference();
+  const fpga::System& sys = shared_system();
+  auto run = [&](std::span<const attack::SavedProbe> resume, FaultPlan plan) {
+    attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
+    FaultyOracle oracle(device, std::move(plan));
+    return run_attack(oracle, {}, resume);
+  };
+
+  const attack::AttackResult first = run({}, FaultPlan().kill_at(1000));
+  ASSERT_TRUE(first.partial);
+  const std::vector<attack::SavedProbe>& cp1 = first.checkpoint.probes;
+  const attack::AttackResult second = run(cp1, FaultPlan().kill_at(2000));
+  ASSERT_TRUE(second.partial);
+  const std::vector<attack::SavedProbe>& cp2 = second.checkpoint.probes;
+
+  auto by_key = [](const attack::SavedProbe& a, const attack::SavedProbe& b) {
+    return std::tie(a.key_hi, a.key_lo, a.words) < std::tie(b.key_hi, b.key_lo, b.words);
+  };
+  ASSERT_GT(cp1.size(), 0u);
+  ASSERT_TRUE(std::is_sorted(cp1.begin(), cp1.end(), by_key));  // export order
+  ASSERT_TRUE(std::is_sorted(cp2.begin(), cp2.end(), by_key));
+  EXPECT_TRUE(std::includes(cp2.begin(), cp2.end(), cp1.begin(), cp1.end(), by_key));
+  EXPECT_GT(cp2.size(), cp1.size());
+
+  const attack::AttackResult third = run(cp2, FaultPlan());
+  ASSERT_TRUE(third.success) << third.failure;
+  EXPECT_EQ(third.secrets.key, sys.options.key);
+  EXPECT_EQ(third.oracle_runs, clean.oracle_runs - cp2.size());
 }
 
 TEST(AttackCheckpointTest, JsonRoundTripPreservesEveryField) {
@@ -721,6 +728,9 @@ TEST(AttackCheckpointTest, JsonRoundTripPreservesEveryField) {
   b.init = 0xffffffffffffff01ull;  // > 2^53: must survive JSON losslessly
   cp.beta.push_back(b);
 
+  // One settled value and one persistent rejection.
+  cp.probes = {{0xfedcba9876543210ull, 42, 2, false, {0xdeadbeef, 7}}, {1, 0, 2, true, {}}};
+
   const auto back = attack::AttackCheckpoint::from_json(cp.to_json());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, cp);
@@ -728,6 +738,18 @@ TEST(AttackCheckpointTest, JsonRoundTripPreservesEveryField) {
 
   EXPECT_FALSE(attack::AttackCheckpoint::from_json("not json").has_value());
   EXPECT_FALSE(attack::AttackCheckpoint::from_json("{\"version\": 99}").has_value());
+
+  // A file is outside input: a probe shape the cache could never have
+  // stored must not load, since a resume would serve it as a hit.
+  auto parses_with = [&](attack::SavedProbe probe) {
+    attack::AttackCheckpoint one = cp;
+    one.probes = {std::move(probe)};
+    return attack::AttackCheckpoint::from_json(one.to_json()).has_value();
+  };
+  EXPECT_FALSE(parses_with({1, 0, 0, false, {}}));         // words == 0
+  EXPECT_FALSE(parses_with({1, 0, 2, false, {1, 2, 3}}));  // value longer than words
+  EXPECT_FALSE(parses_with({1, 0, 2, false, {1}}));        // value shorter than words
+  EXPECT_FALSE(parses_with({1, 0, 2, true, {1, 2}}));      // rejection with a value
 }
 
 }  // namespace
