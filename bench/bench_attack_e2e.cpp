@@ -326,13 +326,13 @@ void print_cost_breakdown() {
   const CrackRun crack = run_crack(/*equalized=*/false);
   std::printf("cracker (protected): verdict %s, %zu adaptive probes vs static bound "
               "2^%.1f over %zu sites (%.2fs)\n",
-              crack.res.unique ? "unique" : "NOT UNIQUE (BUG)", crack.res.adaptive_probes,
+              crack.res.unique ? "unique" : "NOT UNIQUE (BUG)", crack.res.oracle_runs,
               crack.res.log2_static_bound, crack.res.unique_sites, crack.wall);
   const CrackRun crack_eq = run_crack(/*equalized=*/true);
   std::printf("cracker (equalized): verdict %s, %zu adaptive probes, residual 2^%.1f "
               "hypotheses (%.2fs)\n",
               crack_eq.res.proven_ambiguous ? "proven ambiguous" : "NOT AMBIGUOUS (BUG)",
-              crack_eq.res.adaptive_probes, crack_eq.res.log2_hypotheses_final, crack_eq.wall);
+              crack_eq.res.oracle_runs, crack_eq.res.log2_hypotheses_final, crack_eq.wall);
   std::printf("\n");
 
   // The runtime_1t configuration again with the full obs layer on: the delta
@@ -430,12 +430,12 @@ void print_cost_breakdown() {
   w.key("cracker").begin_object();
   w.field("wall_seconds", crack.wall)
       .field("unique", crack.res.unique)
-      .field("adaptive_probes", crack.res.adaptive_probes)
+      .field("adaptive_probes", crack.res.oracle_runs)
       .field("candidates", crack.res.candidates)
       .field("unique_sites", crack.res.unique_sites)
       .field("log2_static_bound", crack.res.log2_static_bound)
       .field("equalized_wall_seconds", crack_eq.wall)
-      .field("equalized_adaptive_probes", crack_eq.res.adaptive_probes)
+      .field("equalized_adaptive_probes", crack_eq.res.oracle_runs)
       .field("equalized_proven_ambiguous", crack_eq.res.proven_ambiguous)
       .field("equalized_log2_final", crack_eq.res.log2_hypotheses_final);
   w.end_object();
@@ -557,19 +557,19 @@ int run_cracker_smoke() {
   };
   check(crack.res.success && crack.res.unique && !crack.res.proven_ambiguous,
         "protected: unique identification of all 32 sources");
-  check(crack.res.adaptive_probes > 0 &&
+  check(crack.res.oracle_runs > 0 &&
             crack.res.log2_static_bound -
-                    std::log2(static_cast<double>(crack.res.adaptive_probes)) >
+                    std::log2(static_cast<double>(crack.res.oracle_runs)) >
                 80,
         "adaptive probes exponentially below the static bound");
   check(crack_eq.res.success && crack_eq.res.proven_ambiguous && !crack_eq.res.unique,
         "equalized: cracker proves residual ambiguity");
-  check(crack_eq.res.adaptive_probes > crack.res.adaptive_probes,
+  check(crack_eq.res.oracle_runs > crack.res.oracle_runs,
         "equalized countermeasure costs strictly more probes");
   std::printf("cracker smoke: %s (%zu probes vs 2^%.1f static; equalized %zu probes, "
               "2^%.1f residual)\n",
-              ok ? "PASS" : "FAIL", crack.res.adaptive_probes, crack.res.log2_static_bound,
-              crack_eq.res.adaptive_probes, crack_eq.res.log2_hypotheses_final);
+              ok ? "PASS" : "FAIL", crack.res.oracle_runs, crack.res.log2_static_bound,
+              crack_eq.res.oracle_runs, crack_eq.res.log2_hypotheses_final);
   return ok ? 0 : 1;
 }
 

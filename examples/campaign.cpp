@@ -41,7 +41,6 @@ void usage(const char* argv0) {
       "  --batch-width W      oracle probes packed per bit-sliced batch, 1-512; clamped\n"
       "                       at runtime to the active SIMD backend's width (default 512)\n"
       "  --no-cache           disable the probe cache\n"
-      "  --serial-scan        keep FINDLUT scans single-threaded inside trials\n"
       "  --noise PROFILE      unreliable-hardware model: none|mild|harsh, optional @seed\n"
       "                       suffix (e.g. mild@0x123); probes are then confirmed by\n"
       "                       agreement voting, overhead reported per trial\n"
@@ -110,8 +109,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--no-cache") {
       opt.use_probe_cache = false;
-    } else if (arg == "--serial-scan") {
-      opt.scan_parallel = false;
     } else if (arg == "--noise") {
       const char* spec = next();
       const auto profile = faultsim::NoiseProfile::named(spec);
@@ -217,7 +214,7 @@ int main(int argc, char** argv) {
                 opt.equalized ? " (equalized countermeasure)" : "");
     std::printf("adaptive probes       : %zu total across crack trials (vs the static\n"
                 "                        C(n-32,32) bound per trial; see log2_static_bound)\n",
-                report.total_adaptive_probes);
+                report.totals.oracle_runs);
   } else {
     std::printf("unprotected           : %zu/%zu keys recovered\n",
                 report.unprotected_successes, report.unprotected_trials);
@@ -230,13 +227,13 @@ int main(int argc, char** argv) {
     std::printf("resumed from checkpoint: %zu trials\n", report.resumed_trials);
   }
   std::printf("oracle reconfigurations: %zu true + %zu cache hits (%zu probes)\n",
-              report.total_oracle_runs, report.total_cache_hits, report.total_probe_calls);
+              report.totals.oracle_runs, report.totals.cache_hits, report.totals.probe_calls);
   if (!opt.noise.quiet() || opt.fleet_size >= 2) {
     std::printf("physical runs          : %zu (= %zu logical + %zu retries + %zu votes "
                 "+ %zu migration), %zu corrupt reads detected\n",
-                report.total_physical_runs, report.total_oracle_runs, report.total_retry_runs,
-                report.total_vote_runs, report.total_migration_runs,
-                report.total_corruption_detections);
+                report.totals.physical_runs, report.totals.oracle_runs, report.totals.retry_runs,
+                report.totals.vote_runs, report.totals.migration_runs,
+                report.totals.corruption_detections);
   }
   for (const auto& [phase, runs] : report.phase_run_totals) {
     std::printf("  %-10s %7zu\n", phase.c_str(), runs);

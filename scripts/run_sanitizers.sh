@@ -48,11 +48,12 @@ fi
 # candidate scans + multi-threaded crack campaigns) and the device's
 # parent-image cache (concurrent promotion and eviction), the crypto
 # primitives and the envelope's per-thread keystream and MAC caches, and the
-# FINDLUT scans (the engine reads chunks at computed offsets l + c*d) — where
+# FINDLUT scans (the engine reads chunks at computed offsets l + c*d), and
+# the run ledger's trial records and checkpoint resume — where
 # a sanitizer finding is most likely and the runs are cheap enough for CI.
 # smoke_exclude drops the two FINDLUT cases that take seconds even
 # uninstrumented.  The full run takes the whole tier-1 label.
-smoke_filter='^(FindLut|ScanEngine|ThreadPool|Parallel|ProbeCache|Retry|FaultyOracle|NoiseProfile|ProbeCacheGuard|AttackCheckpoint|ObsMode|Metrics|Trace|Orchestrator|ServiceProtocol|FairScheduler|JobStore|ServiceSocket|ServiceRestart|ServiceMetricsParity|ServiceDeadline|SimdDispatch|SimdLaneVec|SimdTranspose|FlatMap|ProbeCacheFlatMap|AdaptiveController|StaticController|AdaptivePipeline|AdaptiveCampaign|ControllerConfig|FleetOracleTest|FleetCampaign|DecoyHypothesis|Cracker|CrackCampaign|CrackService|ParentCache|Secure|Sha256|Hmac|Aes256)'
+smoke_filter='^(FindLut|ScanEngine|ThreadPool|Parallel|ProbeCache|Retry|FaultyOracle|NoiseProfile|ProbeCacheGuard|AttackCheckpoint|ObsMode|Metrics|Trace|Orchestrator|ServiceProtocol|FairScheduler|JobStore|ServiceSocket|ServiceRestart|ServiceMetricsParity|ServiceDeadline|SimdDispatch|SimdLaneVec|SimdTranspose|FlatMap|ProbeCacheFlatMap|AdaptiveController|StaticController|AdaptivePipeline|AdaptiveCampaign|ControllerConfig|FleetOracleTest|FleetCampaign|DecoyHypothesis|Cracker|CrackCampaign|CrackService|ParentCache|Secure|Sha256|Hmac|Aes256|RunLedger)'
 smoke_exclude='^ScanEngine\.(RandomizedEquivalenceAcrossOffsetsAndOrders|NoisyVotingPipelineIdenticalAtOneAndEightScanThreads)$'
 
 status=0
@@ -63,7 +64,8 @@ for san in "${sanitizers[@]}"; do
   if [ "$smoke" -eq 1 ]; then
     cmake --build "$dir" -j "$(nproc)" --target test_runtime test_faultsim test_obs \
       test_orchestrator test_service test_simd test_probe_controller test_fleet \
-      test_cracker test_batch_sim test_crypto test_bitstream test_findlut test_scan_engine
+      test_cracker test_batch_sim test_crypto test_bitstream test_findlut test_scan_engine \
+      test_campaign
   else
     cmake --build "$dir" -j "$(nproc)"
   fi

@@ -145,10 +145,7 @@ CrackResult Cracker::execute() {
   auto note = [&result](std::string msg) { result.log.push_back(std::move(msg)); };
   auto finish = [&](bool ok) {
     result.success = ok;
-    result.adaptive_probes = session_.oracle_runs();
-    result.cache_hits = session_.cache_hits();
-    result.probe_calls = session_.probe_calls();
-    result.retry_stats = session_.stats();
+    static_cast<runtime::RunLedger&>(result) = session_.ledger();
     return result;
   };
 

@@ -144,7 +144,11 @@ CrackLoopStats run_crack_loop(DecoyHypothesisSet& hyp, const CrackProbeFn& probe
 /// answered without touching the board.
 using CrackerConfig = ProbeSessionConfig;
 
-struct CrackResult {
+/// Probe accounting is the RunLedger base, under the same contract as
+/// AttackResult: oracle_runs counts the logical probes the cracker needed to
+/// reach its verdict — the number the static C(n - 32, 32) bound claims must
+/// be ~2^115.
+struct CrackResult : runtime::RunLedger {
   bool success = false;  // ran to a verdict (unique or proven ambiguous)
   bool unique = false;
   bool proven_ambiguous = false;
@@ -160,12 +164,6 @@ struct CrackResult {
   /// Per bit: byte indexes of the surviving source claimants (size 1 when
   /// unique; the whole equalized class otherwise).
   std::array<std::vector<size_t>, 32> claimant_bytes;
-
-  // Honest probe accounting (same contract as AttackResult).
-  size_t adaptive_probes = 0;  // physical oracle configurations
-  size_t cache_hits = 0;
-  size_t probe_calls = 0;
-  runtime::RetryStats retry_stats;
 
   std::vector<std::string> log;
 };

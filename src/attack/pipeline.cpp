@@ -62,8 +62,6 @@ AttackCheckpoint Attack::make_checkpoint(const AttackResult& result) const {
 AttackResult Attack::execute() {
   AttackResult result;
   active_ = &result;
-  initial_oracle_runs_ = oracle_.runs();
-  initial_internal_runs_ = oracle_.internal_runs();
   phase_ = "setup";
   obs::Span exec_span("attack", "execute");
 
@@ -96,7 +94,8 @@ AttackResult Attack::execute() {
     }
   }
 
-  size_t mark = session_.oracle_runs();
+  auto runs = [this] { return session_.ledger().oracle_runs; };
+  size_t mark = runs();
   result.phase_runs.emplace_back("setup", mark);
   if (ok) {
     struct PhaseFn {
@@ -113,53 +112,33 @@ AttackResult Attack::execute() {
       {
         obs::Span span("attack", ph.name);
         ok = (this->*ph.fn)(result);
-        span.arg("oracle_runs", session_.oracle_runs() - mark);
+        span.arg("oracle_runs", runs() - mark);
       }
-      result.phase_runs.emplace_back(ph.name, session_.oracle_runs() - mark);
-      mark = session_.oracle_runs();
+      result.phase_runs.emplace_back(ph.name, runs() - mark);
+      mark = runs();
       if (!ok) break;
       completed_phases_.push_back(ph.name);
     }
   }
   result.success = ok;
-  result.oracle_runs = session_.oracle_runs();
-  result.cache_hits = session_.cache_hits();
-  result.probe_calls = session_.probe_calls();
-  result.physical_runs = oracle_.runs() - initial_oracle_runs_;
-  result.retry_runs = session_.stats().retry_runs;
-  result.vote_runs = session_.stats().vote_runs;
-  result.migration_runs = oracle_.internal_runs() - initial_internal_runs_;
-  result.corruption_detections = session_.stats().corruptions;
-  result.transient_rejections = session_.stats().transient_rejections;
+  static_cast<runtime::RunLedger&>(result) = session_.ledger();
   result.checkpoint = make_checkpoint(result);
   active_ = nullptr;
 
   // Mirror the per-run record into the process-wide registry (DESIGN.md
-  // §4g).  One bulk add per metric at the end of the run: the registry is
-  // the cross-cutting view, AttackResult stays the deterministic record.
+  // §4g): one "attack.<field>" counter per ledger field, one bulk add per
+  // metric at the end of the run.  The registry is the cross-cutting view,
+  // AttackResult stays the deterministic record.
   auto& registry = obs::MetricsRegistry::global();
   static obs::Counter& c_executions = registry.counter("attack.executions");
   static obs::Counter& c_successes = registry.counter("attack.successes");
   static obs::Counter& c_partials = registry.counter("attack.partial_results");
-  static obs::Counter& c_oracle = registry.counter("attack.oracle_runs");
-  static obs::Counter& c_hits = registry.counter("attack.cache_hits");
-  static obs::Counter& c_calls = registry.counter("attack.probe_calls");
-  static obs::Counter& c_retries = registry.counter("attack.retry_runs");
-  static obs::Counter& c_votes = registry.counter("attack.vote_runs");
-  static obs::Counter& c_migration = registry.counter("attack.migration_runs");
-  static obs::Counter& c_corrupt = registry.counter("attack.corruption_detections");
-  static obs::Counter& c_transient = registry.counter("attack.transient_rejections");
   c_executions.add();
   if (result.success) c_successes.add();
   if (result.partial) c_partials.add();
-  c_oracle.add(result.oracle_runs);
-  c_hits.add(result.cache_hits);
-  c_calls.add(result.probe_calls);
-  c_retries.add(result.retry_runs);
-  c_votes.add(result.vote_runs);
-  c_migration.add(result.migration_runs);
-  c_corrupt.add(result.corruption_detections);
-  c_transient.add(result.transient_rejections);
+  for_each_field(result, [&registry](const char* name, size_t value) {
+    registry.counter(std::string("attack.") + name).add(value);
+  });
   exec_span.arg("oracle_runs", result.oracle_runs);
   return result;
 }
@@ -175,6 +154,28 @@ bool Attack::phase_zpath(AttackResult& result) {
 
   std::set<size_t> probed;
   std::set<unsigned> covered;
+  // The one keystream bit in which probe answer `z` differs from the golden
+  // words, when that bit reads `level` in every word of `z`; -1 otherwise.
+  auto stuck_bit = [&](const ProbeOutcome& z, unsigned level) {
+    u32 diff_mask = 0;
+    for (size_t t = 0; t < z->size(); ++t) diff_mask |= (*z)[t] ^ z_golden_[t];
+    if (std::popcount(diff_mask) != 1) return -1;
+    const unsigned bit = static_cast<unsigned>(std::countr_zero(diff_mask));
+    for (const u32 w : *z) {
+      if (bit_of(w, bit) != level) return -1;
+    }
+    return static_cast<int>(bit);
+  };
+  auto accept = [&](const LutMatch& m, const logic::Candidate& c, int bit) {
+    if (bit < 0 || !covered.insert(static_cast<unsigned>(bit)).second) return;  // overlap pruning
+    ZPathLut lut;
+    lut.match = m;
+    lut.bit = static_cast<unsigned>(bit);
+    for (size_t k = 0; k < 3 && k < c.xor_vars.size(); ++k) lut.trio[k] = m.perm[c.xor_vars[k]];
+    result.lut1.push_back(lut);
+  };
+  // Matches whose alpha probe changed nothing, in probe order.
+  std::vector<std::pair<const LutMatch*, const logic::Candidate*>> silent;
   for (const FamilyCount& fc : counts) {
     if (covered.size() == 32) break;
     for (const LutMatch& m : fc.matches) {
@@ -184,26 +185,21 @@ bool Attack::phase_zpath(AttackResult& result) {
       const auto z = probe(with_patches(base_, {{m.byte_index, m.order, 0}}));
       if (lost(result)) return false;
       if (!z) continue;
-      int dead_bit = -1;
-      u32 diff_mask = 0;
-      for (size_t t = 0; t < z->size(); ++t) diff_mask |= (*z)[t] ^ z_golden_[t];
-      if (std::popcount(diff_mask) == 1) {
-        const unsigned bit = static_cast<unsigned>(std::countr_zero(diff_mask));
-        bool stuck0 = true;
-        for (const u32 w : *z) stuck0 = stuck0 && bit_of(w, bit) == 0;
-        if (stuck0) dead_bit = static_cast<int>(bit);
+      if (*z == z_golden_) {
+        silent.emplace_back(&m, &fc.candidate);
+        continue;
       }
-      if (dead_bit < 0) continue;
-      if (covered.count(static_cast<unsigned>(dead_bit))) continue;  // overlap pruning
-      covered.insert(static_cast<unsigned>(dead_bit));
-      ZPathLut lut;
-      lut.match = m;
-      lut.bit = static_cast<unsigned>(dead_bit);
-      for (size_t k = 0; k < 3 && k < fc.candidate.xor_vars.size(); ++k) {
-        lut.trio[k] = m.perm[fc.candidate.xor_vars[k]];
-      }
-      result.lut1.push_back(lut);
+      accept(m, fc.candidate, stuck_bit(z, 0));
     }
+  }
+  // A bit that is 0 in all w golden words hides its LUT1 from the alpha
+  // probe (about 32 * 2^-w per board).  Stick the silent matches at 1
+  // instead, in order, until every bit is covered.
+  for (const auto& [m, c] : silent) {
+    if (covered.size() == 32) break;
+    const auto z = probe(with_patches(base_, {{m->byte_index, m->order, ~u64{0}}}));
+    if (lost(result)) return false;
+    if (z) accept(*m, *c, stuck_bit(z, 1));
   }
   note("z-path: verified " + std::to_string(result.lut1.size()) + "/32 LUT1 positions");
   if (result.lut1.size() != 32) {

@@ -111,7 +111,12 @@ struct AttackCheckpoint {
   static std::optional<AttackCheckpoint> from_json(std::string_view json);
 };
 
-struct AttackResult {
+/// The run's cost is its RunLedger base (DESIGN.md §4f): oracle_runs is the
+/// paper's metric — one per logical probe however often retries and votes
+/// re-ran it physically, so it is unchanged by the retry policy and the
+/// noise level — and physical_runs = oracle_runs + retry_runs + vote_runs +
+/// migration_runs.
+struct AttackResult : runtime::RunLedger {
   bool success = false;
   /// An irrecoverable hardware fault (runtime::ProbeError::kDead or an
   /// unconfirmable oracle) stopped the pipeline early: `failure` names the
@@ -132,30 +137,8 @@ struct AttackResult {
   snow3g::RecoveredSecrets secrets{};
   bool key_confirmed = false;  // software model reproduces the clean device
 
-  /// The paper's cost metric: logical probes answered by the board (one per
-  /// probe even when retries/votes re-ran it physically).  Unchanged by the
-  /// retry policy and the noise level by construction.
-  size_t oracle_runs = 0;
-  /// Logical probes spent per phase (cost breakdown).
+  /// Logical probes spent per phase (cost breakdown of oracle_runs).
   std::vector<std::pair<std::string, size_t>> phase_runs;
-  /// Probe requests answered by the cache (probe_calls = oracle_runs +
-  /// cache_hits when a cache is configured and the oracle accepts every
-  /// golden probe).
-  size_t cache_hits = 0;
-  size_t probe_calls = 0;
-
-  /// Physical reconfigurations actually performed, including retry, vote
-  /// and fleet-internal overhead:
-  /// physical_runs = oracle_runs + retry_runs + vote_runs + migration_runs.
-  size_t physical_runs = 0;
-  size_t retry_runs = 0;  // re-issues after transient errors
-  size_t vote_runs = 0;   // confirmation reads beyond the first
-  /// Runs the oracle spent on its own initiative (fleet migration replays
-  /// and hedge duplicates; see Oracle::internal_runs).  0 for single-board
-  /// oracles.
-  size_t migration_runs = 0;
-  size_t corruption_detections = 0;  // truncated or disagreeing reads seen
-  size_t transient_rejections = 0;   // rejections that vanished on retry
 
   /// Verified-artifact snapshot (always filled; see AttackCheckpoint).
   AttackCheckpoint checkpoint;
@@ -205,8 +188,6 @@ class Attack {
   /// The shared probe engine: one logical-probe contract (cache, confirmed
   /// reads, accounting) for this run.
   ProbeSession session_;
-  size_t initial_oracle_runs_ = 0;
-  size_t initial_internal_runs_ = 0;
   const char* phase_ = "setup";
   std::vector<std::string> completed_phases_;
   std::vector<u8> golden_;     // pristine bitstream

@@ -41,9 +41,18 @@ std::vector<u32> model_reference(snow3g::FaultConfig faults, size_t words) {
 ProbeSession::ProbeSession(Oracle& oracle, const ProbeSessionConfig& config)
     : oracle_(oracle),
       config_(config),
-      controller_(runtime::make_controller(config.controller, config.retry, config.adaptive)) {}
+      controller_(runtime::make_controller(config.controller, config.retry, config.adaptive)),
+      initial_runs_(oracle.runs()),
+      initial_internal_runs_(oracle.internal_runs()) {}
 
 ProbeSession::~ProbeSession() = default;
+
+runtime::RunLedger ProbeSession::ledger() const {
+  runtime::RunLedger l = ledger_;
+  l.physical_runs = oracle_.runs() - initial_runs_;
+  l.migration_runs = oracle_.internal_runs() - initial_internal_runs_;
+  return l;
+}
 
 std::vector<ProbeOutcome> ProbeSession::confirm_batch(std::span<const std::vector<u8>> batch) {
   runtime::ProbeController& ctl = *controller_;
@@ -54,7 +63,7 @@ std::vector<ProbeOutcome> ProbeSession::confirm_batch(std::span<const std::vecto
   const size_t n = batch.size();
   static obs::Counter& retry_rounds =
       obs::MetricsRegistry::global().counter("retry.rounds");
-  const size_t corruptions_before = stats_.corruptions;
+  const size_t corruptions_before = ledger_.corruption_detections;
   ctl.begin(n);
 
   // FIFO refill scheduler.  The queue holds one entry per demanded physical
@@ -96,10 +105,10 @@ std::vector<ProbeOutcome> ProbeSession::confirm_batch(std::span<const std::vecto
       } else if (ctl.retrying(i)) {
         // Physical-overhead accounting at issue time: a re-issue after an
         // error is a retry, a re-read of a value under confirmation is a vote.
-        ++stats_.retry_runs;
+        ++ledger_.retry_runs;
         ++reissues;
       } else {
-        ++stats_.vote_runs;
+        ++ledger_.vote_runs;
         ++reissues;
       }
       slots.push_back(i);
@@ -119,7 +128,7 @@ std::vector<ProbeOutcome> ProbeSession::confirm_batch(std::span<const std::vecto
       // extra physical read is already spent and accounted, its answer is
       // simply not needed.
       if (ctl.settled(i)) continue;
-      ctl.absorb(i, answers[k], stats_);
+      ctl.absorb(i, answers[k], ledger_);
       if (pending[i] == 0 && !ctl.settled(i)) enqueue_demand(i);
     }
   }
@@ -129,7 +138,7 @@ std::vector<ProbeOutcome> ProbeSession::confirm_batch(std::span<const std::vecto
   // Health feedback: silent corruptions the vote layer caught are invisible
   // at the oracle boundary; report them so a fleet can quarantine the board
   // that produced them (a no-op for single-board oracles).
-  if (const size_t caught = stats_.corruptions - corruptions_before; caught > 0) {
+  if (const size_t caught = ledger_.corruption_detections - corruptions_before; caught > 0) {
     oracle_.note_corruptions(caught);
   }
   return out;
@@ -151,9 +160,9 @@ std::vector<ProbeOutcome> ProbeSession::probe_batch(std::span<const std::vector<
   static obs::Histogram& batch_size =
       obs::MetricsRegistry::global().histogram("attack.probe_batch_size");
   batch_size.observe(batch.size());
-  probe_calls_ += batch.size();
+  ledger_.probe_calls += batch.size();
   if (config_.cache == nullptr) {
-    paper_runs_ += batch.size();
+    ledger_.oracle_runs += batch.size();
     auto out = confirm_batch(batch);
     for (auto& o : out) o = finalize(std::move(o));
     return out;
@@ -178,7 +187,7 @@ std::vector<ProbeOutcome> ProbeSession::probe_batch(std::span<const std::vector<
       continue;
     }
     if (auto cached = config_.cache->lookup(keys[i])) {
-      ++cache_hits_;
+      ++ledger_.cache_hits;
       out[i] = ProbeOutcome(std::move(*cached));
       continue;
     }
@@ -187,7 +196,7 @@ std::vector<ProbeOutcome> ProbeSession::probe_batch(std::span<const std::vector<
     miss_index.push_back(i);
   }
   if (!misses.empty()) {
-    paper_runs_ += misses.size();
+    ledger_.oracle_runs += misses.size();
     auto results = confirm_batch(misses);
     for (size_t k = 0; k < misses.size(); ++k) {
       if (cacheable(results[k])) {
@@ -198,7 +207,7 @@ std::vector<ProbeOutcome> ProbeSession::probe_batch(std::span<const std::vector<
   }
   for (const size_t i : dups) {
     if (auto cached = config_.cache->lookup(keys[i])) {
-      ++cache_hits_;
+      ++ledger_.cache_hits;
       out[i] = ProbeOutcome(std::move(*cached));
     } else {
       // The first occurrence ended in an uncacheable (fatal) outcome; the

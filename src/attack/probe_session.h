@@ -14,9 +14,10 @@
 //     it (restore_probes), so a resumed run never re-pays probes a dead
 //     board already answered.
 //
-// Accounting is the contract of DESIGN.md §4f: oracle_runs counts logical
-// probes only (noise- and controller-invariant by construction); retries,
-// votes and fleet-internal replays are tracked separately.
+// Accounting is the contract of DESIGN.md §4f: the session fills one
+// runtime::RunLedger, whose oracle_runs counts logical probes only (noise-
+// and controller-invariant by construction); retries, votes and
+// fleet-internal replays are counted beside it.
 #pragma once
 
 #include <array>
@@ -122,11 +123,10 @@ class ProbeSession {
   bool device_lost() const { return fatal_ != runtime::ProbeError::kNone; }
 
   size_t words() const { return config_.words; }
-  /// Logical probes (the paper's metric).
-  size_t oracle_runs() const { return paper_runs_; }
-  size_t cache_hits() const { return cache_hits_; }
-  size_t probe_calls() const { return probe_calls_; }
-  const runtime::RetryStats& stats() const { return stats_; }
+  /// The run so far: the session's own counters, plus physical_runs and
+  /// migration_runs as the oracle's runs() and internal_runs() since the
+  /// session was built.
+  runtime::RunLedger ledger() const;
 
  private:
   std::vector<runtime::ProbeOutcome> confirm_batch(std::span<const std::vector<u8>> batch);
@@ -139,10 +139,11 @@ class ProbeSession {
   /// thread, keeping controller decisions a pure function of the read
   /// sequence for any pool size.
   std::unique_ptr<runtime::ProbeController> controller_;
-  size_t cache_hits_ = 0;
-  size_t probe_calls_ = 0;
-  size_t paper_runs_ = 0;
-  runtime::RetryStats stats_;
+  /// Every counter but physical_runs and migration_runs, which ledger()
+  /// derives from the oracle's counters and these construction-time marks.
+  runtime::RunLedger ledger_;
+  size_t initial_runs_;
+  size_t initial_internal_runs_;
   runtime::ProbeError fatal_ = runtime::ProbeError::kNone;
 };
 

@@ -45,8 +45,7 @@ TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::Th
   const fpga::System sys = fpga::build_system(sys_opt);
   out.lut_sites = sys.placed.phys.size();
 
-  attack::DeviceOracle device(sys, iv, options.scan_parallel ? pool : nullptr,
-                              options.batch_width);
+  attack::DeviceOracle device(sys, iv, pool, options.batch_width);
   // Non-quiet noise: wrap the device in the fault model (noise stream
   // re-seeded per trial so trials stay independent) and confirm every probe
   // by agreement voting.  The logical metrics are unchanged by construction.
@@ -66,8 +65,7 @@ TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::Th
     fleet_opt.noise = noise;
     fleet_opt.noise_factors = options.fleet_noise_factors;
     fleet_opt.hedge = options.fleet_hedge;
-    fleet.emplace(sys, iv, fleet_opt, options.scan_parallel ? pool : nullptr,
-                  options.batch_width);
+    fleet.emplace(sys, iv, fleet_opt, pool, options.batch_width);
   }
   attack::Oracle& oracle =
       fleet ? static_cast<attack::Oracle&>(*fleet)
@@ -80,7 +78,7 @@ TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::Th
   attack::ProbeSessionConfig policy;
   policy.words = options.words;
   if (options.use_probe_cache) policy.cache = &cache;
-  if (options.scan_parallel) policy.find.pool = pool;
+  policy.find.pool = pool;
   if (noisy) {
     policy.retry = runtime::RetryPolicy::voting(3);
   } else if (fleet) {
@@ -108,18 +106,9 @@ TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::Th
                    (options.equalized ? res.proven_ambiguous : res.unique);
     out.failure = res.failure;
     out.crack_candidates = res.candidates;
-    out.adaptive_probes = res.adaptive_probes;
     out.log2_static_bound = res.log2_static_bound;
     out.log2_final = res.log2_hypotheses_final;
-    out.oracle_runs = res.adaptive_probes;
-    out.cache_hits = res.cache_hits;
-    out.probe_calls = res.probe_calls;
-    out.physical_runs = oracle.runs();
-    out.retry_runs = res.retry_stats.retry_runs;
-    out.vote_runs = res.retry_stats.vote_runs;
-    out.migration_runs = oracle.internal_runs();
-    out.corruption_detections = res.retry_stats.corruptions;
-    out.transient_rejections = res.retry_stats.transient_rejections;
+    static_cast<runtime::RunLedger&>(out) = res;
   } else {
     attack::PipelineConfig cfg{policy};
     cfg.iv = iv;
@@ -131,16 +120,8 @@ TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::Th
     out.expected = out.protected_variant ? !res.success : out.key_match;
     out.partial = res.partial;
     out.failure = res.failure;
-    out.oracle_runs = res.oracle_runs;
-    out.cache_hits = res.cache_hits;
-    out.probe_calls = res.probe_calls;
     out.phase_runs = res.phase_runs;
-    out.physical_runs = res.physical_runs;
-    out.retry_runs = res.retry_runs;
-    out.vote_runs = res.vote_runs;
-    out.migration_runs = res.migration_runs;
-    out.corruption_detections = res.corruption_detections;
-    out.transient_rejections = res.transient_rejections;
+    static_cast<runtime::RunLedger&>(out) = res;
   }
   const fpga::ConfigureStats work = sys.snapshot->stats();
   out.sites_decoded = work.sites_decoded;
@@ -167,7 +148,6 @@ void CampaignReport::accumulate(const TrialOutcome& t) {
     ++crack_trials;
     crack_unique_verdicts += t.crack_unique ? 1 : 0;
     crack_ambiguous_verdicts += t.crack_proven_ambiguous ? 1 : 0;
-    total_adaptive_probes += t.adaptive_probes;
   } else if (t.protected_variant) {
     ++protected_trials;
     protected_resisted += t.expected ? 1 : 0;
@@ -175,14 +155,7 @@ void CampaignReport::accumulate(const TrialOutcome& t) {
     ++unprotected_trials;
     unprotected_successes += t.key_match ? 1 : 0;
   }
-  total_oracle_runs += t.oracle_runs;
-  total_cache_hits += t.cache_hits;
-  total_probe_calls += t.probe_calls;
-  total_physical_runs += t.physical_runs;
-  total_retry_runs += t.retry_runs;
-  total_vote_runs += t.vote_runs;
-  total_migration_runs += t.migration_runs;
-  total_corruption_detections += t.corruption_detections;
+  totals += t;
   total_sites_decoded += t.sites_decoded;
   total_parent_promotions += t.parent_promotions;
   total_parent_hits += t.parent_hits;
@@ -200,15 +173,8 @@ void CampaignReport::accumulate(const TrialOutcome& t) {
 
 void CampaignReport::write_metrics(JsonWriter& w) const {
   w.begin_object();
-  w.field("oracle_runs", total_oracle_runs)
-      .field("cache_hits", total_cache_hits)
-      .field("probe_calls", total_probe_calls)
-      .field("physical_runs", total_physical_runs)
-      .field("retry_runs", total_retry_runs)
-      .field("vote_runs", total_vote_runs)
-      .field("migration_runs", total_migration_runs)
-      .field("corruption_detections", total_corruption_detections)
-      .field("resumed_trials", resumed_trials)
+  for_each_field(totals, [&w](const char* name, size_t value) { w.field(name, value); });
+  w.field("resumed_trials", resumed_trials)
       .field("scan_index_cache_entries", scan_index_cache_entries)
       .field("sites_decoded", total_sites_decoded)
       .field("parent_promotions", total_parent_promotions)
@@ -250,7 +216,7 @@ u64 CampaignReport::fingerprint() const {
       fold(t.crack_unique ? 1 : 2);
       fold(t.crack_proven_ambiguous ? 1 : 2);
       fold(t.crack_candidates);
-      fold(t.adaptive_probes);
+      fold(t.oracle_runs);  // the verdict's probe count
       fold(std::bit_cast<u64>(t.log2_static_bound));
       fold(std::bit_cast<u64>(t.log2_final));
     }
@@ -273,17 +239,12 @@ std::string CampaignReport::to_json() const {
       .field("crack_trials", crack_trials)
       .field("crack_unique_verdicts", crack_unique_verdicts)
       .field("crack_ambiguous_verdicts", crack_ambiguous_verdicts)
-      .field("total_adaptive_probes", total_adaptive_probes)
-      .field("all_expected", all_expected())
-      .field("total_oracle_runs", total_oracle_runs)
-      .field("total_cache_hits", total_cache_hits)
-      .field("total_probe_calls", total_probe_calls)
-      .field("total_physical_runs", total_physical_runs)
-      .field("total_retry_runs", total_retry_runs)
-      .field("total_vote_runs", total_vote_runs)
-      .field("total_migration_runs", total_migration_runs)
-      .field("total_corruption_detections", total_corruption_detections)
-      .field("resumed_trials", resumed_trials)
+      .field("total_adaptive_probes", options.kind == "crack" ? totals.oracle_runs : 0)
+      .field("all_expected", all_expected());
+  for_each_field(totals, [&w](const char* name, size_t value) {
+    w.field(std::string("total_") + name, value);
+  });
+  w.field("resumed_trials", resumed_trials)
       .field("scan_index_cache_entries", scan_index_cache_entries)
       .field("wall_seconds", wall_seconds)
       .field("fingerprint", fingerprint());

@@ -30,6 +30,7 @@
 
 #include "common/bits.h"
 #include "faultsim/noise.h"
+#include "runtime/retry.h"
 
 namespace sbm {
 class JsonWriter;
@@ -69,9 +70,6 @@ struct CampaignOptions {
   /// Per-trial probe cache (identical patched bitstreams skip the simulated
   /// reconfiguration; hits reported separately from true oracle runs).
   bool use_probe_cache = true;
-  /// Hand each trial's FINDLUT scans the shared pool too (candidate and
-  /// byte-range sharding inside a trial, on top of trial-level fan-out).
-  bool scan_parallel = true;
   /// Lanes per bit-sliced oracle batch (1..512, clamped at runtime to the
   /// active SIMD backend's width — 64 scalar, 256 AVX2, 512 AVX-512).  1
   /// selects the scalar reference path; any width and any backend yield
@@ -116,7 +114,12 @@ struct CampaignOptions {
   bool verbose = false;
 };
 
-struct TrialOutcome {
+/// One trial's record.  Its RunLedger base is the trial's run ledger
+/// (DESIGN.md §4f), copied whole from the attack or crack result: physical
+/// accounting under noise (physical_runs = oracle_runs + retry_runs +
+/// vote_runs + migration_runs) is informational — fingerprint() digests only
+/// the logical counts (oracle_runs, cache_hits, probe_calls).
+struct TrialOutcome : runtime::RunLedger {
   size_t index = 0;
   u64 trial_seed = 0;
   bool protected_variant = false;
@@ -129,22 +132,8 @@ struct TrialOutcome {
   /// whatever the pipeline verified before dying.
   bool partial = false;
   std::string failure;  // pipeline failure reason when !attack_success
-  size_t oracle_runs = 0;
-  size_t cache_hits = 0;
-  size_t probe_calls = 0;
   size_t lut_sites = 0;  // victim fabric size (varies with the placement seed)
   std::vector<std::pair<std::string, size_t>> phase_runs;
-  /// Physical-layer accounting under noise (physical_runs = oracle_runs +
-  /// retry_runs + vote_runs).  Informational — excluded from fingerprint(),
-  /// which digests only the logical outcome.
-  size_t physical_runs = 0;
-  size_t retry_runs = 0;
-  size_t vote_runs = 0;
-  /// Fleet-internal physical runs (migration replays + hedge duplicates);
-  /// physical_runs = oracle_runs + retry_runs + vote_runs + migration_runs.
-  size_t migration_runs = 0;
-  size_t corruption_detections = 0;
-  size_t transient_rejections = 0;
   /// Device work through the victim's snapshot (fpga::ConfigureStats):
   /// LUT sites decoded, parent images promoted and parent-cache hits.
   /// Informational — excluded from fingerprint(); with a pool the parent a
@@ -153,14 +142,12 @@ struct TrialOutcome {
   size_t parent_promotions = 0;
   size_t parent_hits = 0;
   /// Crack-kind trials only (kind == "crack"); all-zero for attack trials.
-  /// adaptive_probes is the physical configuration count the cracker needed
-  /// to reach its verdict — the number the static C(n - 32, 32) bound
-  /// (log2_static_bound) claims must be ~2^115.
+  /// On a crack trial oracle_runs is the logical probe count the cracker
+  /// needed to reach its verdict, recorded as "adaptive_probes_to_unique".
   bool crack = false;
   bool crack_unique = false;
   bool crack_proven_ambiguous = false;
   size_t crack_candidates = 0;
-  size_t adaptive_probes = 0;
   double log2_static_bound = 0;
   double log2_final = 0;
   double wall_seconds = 0;  // informational only — excluded from fingerprint()
@@ -174,14 +161,8 @@ struct CampaignReport {
   size_t unprotected_successes = 0;
   size_t protected_trials = 0;
   size_t protected_resisted = 0;
-  size_t total_oracle_runs = 0;
-  size_t total_cache_hits = 0;
-  size_t total_probe_calls = 0;
-  size_t total_physical_runs = 0;
-  size_t total_retry_runs = 0;
-  size_t total_vote_runs = 0;
-  size_t total_migration_runs = 0;
-  size_t total_corruption_detections = 0;
+  /// Every trial's run ledger, summed.
+  runtime::RunLedger totals;
   size_t total_sites_decoded = 0;
   size_t total_parent_promotions = 0;
   size_t total_parent_hits = 0;
@@ -189,7 +170,6 @@ struct CampaignReport {
   size_t crack_trials = 0;
   size_t crack_unique_verdicts = 0;
   size_t crack_ambiguous_verdicts = 0;
-  size_t total_adaptive_probes = 0;
   /// Trials answered from the resume checkpoint instead of being re-run.
   size_t resumed_trials = 0;
   /// Trials skipped because the run was cancelled (Orchestrator::Hooks).
@@ -213,8 +193,8 @@ struct CampaignReport {
   u64 fingerprint() const;
   std::string to_json() const;
 
-  /// Folds one trial's logical totals into the aggregate fields (counts,
-  /// total_*, phase_run_totals).  Does not touch `trials` — the orchestrator
+  /// Folds one trial into the aggregate fields (counts, totals, total_*,
+  /// phase_run_totals).  Does not touch `trials` — the orchestrator
   /// calls it per finished trial, and the campaign daemon reuses it to keep
   /// a live per-job aggregate while a run is still in flight.
   void accumulate(const TrialOutcome& t);

@@ -60,29 +60,22 @@ void write_trial(JsonWriter& w, const TrialOutcome& t) {
       .field("key_match", t.key_match)
       .field("expected", t.expected)
       .field("partial", t.partial)
-      .field("failure", t.failure)
-      .field("oracle_runs", t.oracle_runs)
-      .field("cache_hits", t.cache_hits)
-      .field("probe_calls", t.probe_calls)
-      .field("lut_sites", t.lut_sites)
-      .field("physical_runs", t.physical_runs)
-      .field("retry_runs", t.retry_runs)
-      .field("vote_runs", t.vote_runs)
-      .field("migration_runs", t.migration_runs)
-      .field("corruption_detections", t.corruption_detections)
-      .field("transient_rejections", t.transient_rejections)
+      .field("failure", t.failure);
+  for_each_field(t, [&w](const char* name, size_t value) { w.field(name, value); });
+  w.field("lut_sites", t.lut_sites)
       .field("sites_decoded", t.sites_decoded)
       .field("parent_promotions", t.parent_promotions)
       .field("parent_hits", t.parent_hits)
       .field("wall_seconds", t.wall_seconds);
   if (t.crack) {
-    // "adaptive_probes_to_unique" is the headline crack metric: physical
-    // configurations to the verdict, vs the static log2 bound next to it.
+    // "adaptive_probes_to_unique" is the headline crack metric: the logical
+    // probes to the verdict (the trial's oracle_runs), vs the static log2
+    // bound next to it.
     w.field("crack", true)
         .field("crack_unique", t.crack_unique)
         .field("crack_proven_ambiguous", t.crack_proven_ambiguous)
         .field("crack_candidates", t.crack_candidates)
-        .field("adaptive_probes_to_unique", t.adaptive_probes)
+        .field("adaptive_probes_to_unique", t.oracle_runs)
         .field("log2_static_bound", t.log2_static_bound)
         .field("log2_hypotheses_final", t.log2_final);
   }
@@ -116,16 +109,8 @@ std::optional<TrialOutcome> trial_from_json(const JsonValue& v) {
   get_bool("expected", t.expected);
   get_bool("partial", t.partial);
   if (const JsonValue* f = v.find("failure")) t.failure = f->as_string();
-  get_size("oracle_runs", t.oracle_runs);
-  get_size("cache_hits", t.cache_hits);
-  get_size("probe_calls", t.probe_calls);
+  for_each_field(t, get_size);
   get_size("lut_sites", t.lut_sites);
-  get_size("physical_runs", t.physical_runs);
-  get_size("retry_runs", t.retry_runs);
-  get_size("vote_runs", t.vote_runs);
-  get_size("migration_runs", t.migration_runs);
-  get_size("corruption_detections", t.corruption_detections);
-  get_size("transient_rejections", t.transient_rejections);
   get_size("sites_decoded", t.sites_decoded);
   get_size("parent_promotions", t.parent_promotions);
   get_size("parent_hits", t.parent_hits);
@@ -133,7 +118,6 @@ std::optional<TrialOutcome> trial_from_json(const JsonValue& v) {
   get_bool("crack_unique", t.crack_unique);
   get_bool("crack_proven_ambiguous", t.crack_proven_ambiguous);
   get_size("crack_candidates", t.crack_candidates);
-  get_size("adaptive_probes_to_unique", t.adaptive_probes);
   if (const JsonValue* f = v.find("log2_static_bound")) t.log2_static_bound = f->as_double();
   if (const JsonValue* f = v.find("log2_hypotheses_final")) t.log2_final = f->as_double();
   if (const JsonValue* f = v.find("wall_seconds")) t.wall_seconds = f->as_double();
@@ -153,7 +137,9 @@ void write_options(JsonWriter& w, const CampaignOptions& options) {
       .field("equalized", options.equalized)
       .field("words", options.words)
       .field("use_probe_cache", options.use_probe_cache)
-      .field("scan_parallel", options.scan_parallel)
+      // Trials always share the pool with their FINDLUT scans; the key
+      // stays so readers of earlier reports find it.
+      .field("scan_parallel", true)
       .field("batch_width", u64{options.batch_width})
       .field("controller", runtime::controller_kind_name(options.controller))
       .field("fleet_size", u64{options.fleet_size})
@@ -195,7 +181,6 @@ std::optional<CampaignOptions> options_from_json(const JsonValue& v) {
   if (const JsonValue* f = v.find("equalized")) o.equalized = f->as_bool();
   get_size("words", o.words);
   if (const JsonValue* f = v.find("use_probe_cache")) o.use_probe_cache = f->as_bool(true);
-  if (const JsonValue* f = v.find("scan_parallel")) o.scan_parallel = f->as_bool(true);
   if (const JsonValue* f = v.find("batch_width")) {
     o.batch_width = static_cast<unsigned>(f->as_u64(simd::kMaxLanes));
   }

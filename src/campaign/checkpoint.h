@@ -20,7 +20,7 @@ struct JsonValue;
 namespace sbm::campaign {
 
 /// Digest of every CampaignOptions field that determines trial outcomes.
-/// Scheduling knobs (threads, scan_parallel, batch_width) are excluded: the
+/// Scheduling knobs (threads, batch_width) are excluded: the
 /// determinism contract makes them outcome-invariant, so a campaign may be
 /// resumed under a different thread count or batch width.
 u64 options_signature(const CampaignOptions& options);

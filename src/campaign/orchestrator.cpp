@@ -86,7 +86,7 @@ CampaignReport Orchestrator::run(const CampaignOptions& options, const Hooks& ho
           ran[i] = 0;
           return TrialOutcome{};
         }
-        TrialOutcome out = trial(options, i, options.scan_parallel ? scan_pool : nullptr);
+        TrialOutcome out = trial(options, i, scan_pool);
         record(out);
         if (options.verbose) {
           std::printf("[campaign] trial %zu/%zu: %s%s (%zu oracle runs, %zu cache hits, %.1fs)\n",

@@ -111,8 +111,8 @@ FleetOracle::Board* FleetOracle::pick_peer(const Board* not_this) {
 }
 
 void FleetOracle::fold_error(Board& b, bool is_error) {
-  b.health.ewma_error = (1.0 - options_.ewma_alpha) * b.health.ewma_error +
-                        (is_error ? options_.ewma_alpha : 0.0);
+  b.health.ewma_error =
+      (1.0 - kEwmaAlpha) * b.health.ewma_error + (is_error ? kEwmaAlpha : 0.0);
 }
 
 void FleetOracle::observe(Board& b, const runtime::ProbeOutcome& outcome) {
@@ -122,7 +122,7 @@ void FleetOracle::observe(Board& b, const runtime::ProbeOutcome& outcome) {
   const bool corrupt = !outcome.ok() && outcome.error() == runtime::ProbeError::kCorrupt;
   fold_error(b, timeout || corrupt);
   if (timeout) {
-    if (++b.health.consecutive_timeouts >= options_.presumed_dead_after &&
+    if (++b.health.consecutive_timeouts >= kPresumedDeadAfter &&
         b.health.state != BoardState::kDead) {
       declare_dead(b);
     }
@@ -134,8 +134,8 @@ void FleetOracle::observe(Board& b, const runtime::ProbeOutcome& outcome) {
 
 void FleetOracle::maybe_quarantine(Board& b) {
   if (b.health.state != BoardState::kHealthy) return;
-  if (b.health.samples < options_.min_health_samples) return;
-  if (b.health.ewma_error <= options_.quarantine_error_rate) return;
+  if (b.health.samples < kMinHealthSamples) return;
+  if (b.health.ewma_error <= kQuarantineErrorRate) return;
   // Keep the last healthy board in service: quarantine exists to steer work
   // to a better peer, and with no peer the degraded board is still the best
   // (only) option.

@@ -51,7 +51,7 @@ struct BoardHealth {
   /// Outcomes observed on this board (physical runs it answered for).
   size_t samples = 0;
   /// Current run of back-to-back timeouts; crossing
-  /// FleetOptions::presumed_dead_after presumes the board dead.
+  /// kPresumedDeadAfter presumes the board dead.
   unsigned consecutive_timeouts = 0;
   /// Fleet-wide physical run count when the board was presumed dead.
   size_t died_at = static_cast<size_t>(-1);
@@ -73,19 +73,20 @@ struct FleetOptions {
   /// order.  Logical attack results are invariant under this rotation —
   /// see the determinism contract in DESIGN.md §4k.
   unsigned start_board = 0;
-  /// EWMA smoothing factor for the per-board error rate.
-  double ewma_alpha = 0.08;
-  /// EWMA error rate above which a board is quarantined (once it has
-  /// min_health_samples observations and a healthy peer exists).
-  double quarantine_error_rate = 0.25;
-  /// Observations required before the EWMA is trusted for quarantine.
-  size_t min_health_samples = 64;
-  /// Consecutive timeouts that presume a board dead.  Deliberately below
-  /// the retry layer's attempt budget (RetryPolicy::voting max_attempts =
-  /// 6, AdaptiveConfig::max_attempts = 6) so the fleet migrates before the
-  /// controller escalates the probe to kDead.
-  unsigned presumed_dead_after = 4;
 };
+
+/// EWMA smoothing factor for the per-board error rate.
+inline constexpr double kEwmaAlpha = 0.08;
+/// EWMA error rate above which a board is quarantined (once it has
+/// kMinHealthSamples observations and a healthy peer exists).
+inline constexpr double kQuarantineErrorRate = 0.25;
+/// Observations required before the EWMA is trusted for quarantine.
+inline constexpr size_t kMinHealthSamples = 64;
+/// Consecutive timeouts that presume a board dead.  Deliberately below the
+/// retry layer's attempt budget (RetryPolicy::voting max_attempts = 6,
+/// AdaptiveConfig::max_attempts = 6) so the fleet migrates before the
+/// controller escalates the probe to kDead.
+inline constexpr unsigned kPresumedDeadAfter = 4;
 
 /// Oracle that fans one probe stream across a health-tracked board pool.
 /// Logical semantics match a single board exactly (same ProbeOutcome

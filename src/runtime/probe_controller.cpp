@@ -26,9 +26,9 @@ struct Slot {
 /// the original absorb lambda's error branch): bounded consecutive-error
 /// budget, with a rejection that persisted through every attempt — and never
 /// saw a value read — reported as the genuine answer.
-void absorb_error(Slot& v, const ProbeOutcome& r, unsigned max_attempts, RetryStats& stats) {
+void absorb_error(Slot& v, const ProbeOutcome& r, unsigned max_attempts, RunLedger& ledger) {
   v.last_was_error = true;
-  if (r.error() == ProbeError::kCorrupt) ++stats.corruptions;
+  if (r.error() == ProbeError::kCorrupt) ++ledger.corruption_detections;
   if (r.error() == ProbeError::kRejected) ++v.rejects;
   if (r.error() == ProbeError::kDead || ++v.errors >= max_attempts) {
     v.settled = true;
@@ -43,14 +43,14 @@ void absorb_error(Slot& v, const ProbeOutcome& r, unsigned max_attempts, RetrySt
 
 /// Inserts a value read into the slot's tally, counting a disagreement, and
 /// returns the read's updated vote count.
-unsigned tally_value(Slot& v, const ProbeOutcome& r, RetryStats& stats) {
+unsigned tally_value(Slot& v, const ProbeOutcome& r, RunLedger& ledger) {
   v.errors = 0;
   v.last_was_error = false;
   ++v.reads;
   auto it = std::find_if(v.tally.begin(), v.tally.end(),
                          [&](const auto& e) { return e.first == *r; });
   if (it == v.tally.end()) {
-    if (!v.tally.empty()) ++stats.corruptions;  // disagreeing read
+    if (!v.tally.empty()) ++ledger.corruption_detections;  // disagreeing read
     v.tally.emplace_back(*r, 0u);
     it = std::prev(v.tally.end());
   }
@@ -75,16 +75,16 @@ class StaticVotingController final : public ProbeController {
     slots_.resize(n);
   }
 
-  void absorb(size_t slot, const ProbeOutcome& r, RetryStats& stats) override {
+  void absorb(size_t slot, const ProbeOutcome& r, RunLedger& ledger) override {
     Slot& v = slots_[slot];
     if (r.ok()) {
       // A value read: the board is alive, so the consecutive-error count
       // resets; confirmation requires `confirm` bit-identical reads (two
       // independently corrupted captures essentially never coincide).
-      const unsigned votes = tally_value(v, r, stats);
+      const unsigned votes = tally_value(v, r, ledger);
       if (votes >= policy_.confirm) {
         v.settled = true;
-        stats.transient_rejections += v.rejects;
+        ledger.transient_rejections += v.rejects;
       } else if (v.reads >= policy_.max_reads) {
         // The board answers but never twice alike: unconfirmable.
         v.settled = true;
@@ -92,7 +92,7 @@ class StaticVotingController final : public ProbeController {
       }
       return;
     }
-    absorb_error(v, r, policy_.max_attempts, stats);
+    absorb_error(v, r, policy_.max_attempts, ledger);
   }
 
   bool settled(size_t slot) const override { return slots_[slot].settled; }
@@ -125,13 +125,13 @@ class AdaptiveController final : public ProbeController {
     slots_.resize(n);
   }
 
-  void absorb(size_t slot, const ProbeOutcome& r, RetryStats& stats) override {
+  void absorb(size_t slot, const ProbeOutcome& r, RunLedger& ledger) override {
     Slot& v = slots_[slot];
     if (r.ok()) {
-      const unsigned votes = tally_value(v, r, stats);
+      const unsigned votes = tally_value(v, r, ledger);
       if (votes >= agree_target()) {
         v.settled = true;
-        stats.transient_rejections += v.rejects;
+        ledger.transient_rejections += v.rejects;
         learn(v, votes);
       } else if (v.reads >= config_.max_reads) {
         // The board answers but never agrees deeply enough: unconfirmable.
@@ -141,7 +141,7 @@ class AdaptiveController final : public ProbeController {
       }
       return;
     }
-    absorb_error(v, r, config_.max_attempts, stats);
+    absorb_error(v, r, config_.max_attempts, ledger);
   }
 
   bool settled(size_t slot) const override { return slots_[slot].settled; }

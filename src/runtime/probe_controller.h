@@ -4,7 +4,7 @@
 // procedure: keep issuing physical reads until the probe's outcome is
 // settled — a confirmed keystream value, a genuine (persistent) rejection,
 // an unconfirmable read (kCorrupt) or device death.  A ProbeController owns
-// that decision; the scheduler in Attack::confirm_batch owns *when* the
+// that decision; the scheduler in ProbeSession::confirm_batch owns *when* the
 // demanded reads actually run (it packs them into the oracle's bit-sliced
 // batch lanes, refilling partially-settled chunks instead of re-running
 // stragglers one by one).
@@ -87,12 +87,12 @@ struct AdaptiveConfig {
 };
 
 /// Sequential stopping rule for a batch of logical probes.  Usage protocol
-/// (driven by Attack::confirm_batch):
+/// (driven by ProbeSession::confirm_batch):
 ///
 ///   begin(n);                         // slots 0..n-1, no reads absorbed
 ///   while any slot unsettled:
 ///     issue reads_wanted(slot) physical reads for some unsettled slots
-///     absorb(slot, read, stats) for each answer, in issue order
+///     absorb(slot, read, ledger) for each answer, in issue order
 ///   take(slot)                        // settled outcome per slot
 ///
 /// reads_wanted is a *demand*, never padding: the minimum further reads the
@@ -110,9 +110,9 @@ class ProbeController {
   /// Starts a fresh confirmation session of `n` probes.
   virtual void begin(size_t n) = 0;
   /// Absorbs one physical read for `slot` (must be unsettled).  Updates the
-  /// issue-independent parts of the overhead ledger (corruptions seen,
-  /// transient rejections) in `stats`.
-  virtual void absorb(size_t slot, const ProbeOutcome& read, RetryStats& stats) = 0;
+  /// issue-independent parts of the run ledger (corruption detections,
+  /// transient rejections) in `ledger`.
+  virtual void absorb(size_t slot, const ProbeOutcome& read, RunLedger& ledger) = 0;
   virtual bool settled(size_t slot) const = 0;
   /// The settled outcome: a value, kRejected (persistent), kCorrupt
   /// (unconfirmable) or kDead.  Valid once settled(slot).

@@ -14,13 +14,15 @@
 // escalates to kDead so the pipeline can stop with a checkpoint instead of
 // acting on a corrupt read.
 //
-// Accounting contract: the paper's cost metric (AttackResult::oracle_runs)
+// Accounting contract: the paper's cost metric (RunLedger::oracle_runs)
 // counts logical probes only.  Extra physical runs spent on retries and
-// votes are tracked separately in RetryStats, so the clean-run metric is
-// unchanged by noise — see DESIGN.md §4f.
+// votes are tracked beside it in the same RunLedger, so the clean-run metric
+// is unchanged by noise — see DESIGN.md §4f.
 #pragma once
 
+#include <concepts>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -127,22 +129,51 @@ struct RetryPolicy {
   friend bool operator==(const RetryPolicy&, const RetryPolicy&) = default;
 };
 
-/// Physical-layer overhead accounting, kept apart from the paper's
-/// oracle_runs metric: oracle_runs + retry_runs + vote_runs = physical runs.
-struct RetryStats {
-  size_t retry_runs = 0;    // re-issues after a transient error
-  size_t vote_runs = 0;     // value reads beyond the first, for confirmation
-  size_t corruptions = 0;   // detectably damaged or disagreeing reads seen
-  size_t transient_rejections = 0;  // rejections that vanished on retry
+/// The run ledger: every counter one probe run keeps, declared once and
+/// carried as a base by every result, trial and report that records a run
+/// (DESIGN.md §4f).  oracle_runs is the paper's cost metric (logical
+/// probes); the rest is physical-layer overhead kept beside it:
+/// physical_runs = oracle_runs + retry_runs + vote_runs + migration_runs.
+struct RunLedger {
+  size_t oracle_runs = 0;            // logical probes answered by the board
+  size_t cache_hits = 0;             // probe requests answered by the cache
+  size_t probe_calls = 0;            // probe requests (normally oracle_runs + cache_hits)
+  size_t physical_runs = 0;          // reconfigurations the oracle performed
+  size_t retry_runs = 0;             // re-issues after a transient error
+  size_t vote_runs = 0;              // value reads beyond the first, for confirmation
+  size_t migration_runs = 0;         // fleet replays and hedges (Oracle::internal_runs)
+  size_t corruption_detections = 0;  // detectably damaged or disagreeing reads seen
+  size_t transient_rejections = 0;   // rejections that vanished on retry
 
-  RetryStats& operator+=(const RetryStats& o) {
-    retry_runs += o.retry_runs;
-    vote_runs += o.vote_runs;
-    corruptions += o.corruptions;
-    transient_rejections += o.transient_rejections;
-    return *this;
-  }
+  RunLedger& operator+=(const RunLedger& o);
 };
+
+/// The ledger's fields in declaration order, with the names every JSON
+/// record and registry counter uses.
+inline constexpr std::pair<const char*, size_t RunLedger::*> kRunLedgerFields[] = {
+    {"oracle_runs", &RunLedger::oracle_runs},
+    {"cache_hits", &RunLedger::cache_hits},
+    {"probe_calls", &RunLedger::probe_calls},
+    {"physical_runs", &RunLedger::physical_runs},
+    {"retry_runs", &RunLedger::retry_runs},
+    {"vote_runs", &RunLedger::vote_runs},
+    {"migration_runs", &RunLedger::migration_runs},
+    {"corruption_detections", &RunLedger::corruption_detections},
+    {"transient_rejections", &RunLedger::transient_rejections},
+};
+
+/// Calls fn(name, value&) for every ledger field, in declaration order.
+/// `ledger` may be const and may be any type deriving from RunLedger.
+template <typename Ledger, typename Fn>
+  requires std::derived_from<std::remove_const_t<Ledger>, RunLedger>
+void for_each_field(Ledger& ledger, Fn&& fn) {
+  for (const auto& [name, member] : kRunLedgerFields) fn(name, ledger.*member);
+}
+
+inline RunLedger& RunLedger::operator+=(const RunLedger& o) {
+  for (const auto& [name, member] : kRunLedgerFields) this->*member += o.*member;
+  return *this;
+}
 
 inline const char* probe_error_name(ProbeError e) {
   switch (e) {

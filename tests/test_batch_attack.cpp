@@ -102,8 +102,8 @@ TEST(BatchAttack, CampaignFingerprintInvariantAcrossWidthsAndThreads) {
     vopt.threads = c.threads;
     const campaign::CampaignReport rep = campaign::run_campaign(vopt);
     EXPECT_EQ(rep.fingerprint(), ref.fingerprint());
-    EXPECT_EQ(rep.total_oracle_runs, ref.total_oracle_runs);
-    EXPECT_EQ(rep.total_cache_hits, ref.total_cache_hits);
+    EXPECT_EQ(rep.totals.oracle_runs, ref.totals.oracle_runs);
+    EXPECT_EQ(rep.totals.cache_hits, ref.totals.cache_hits);
   }
 }
 

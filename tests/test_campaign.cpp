@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
+#include <map>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "attack/pipeline.h"
 #include "attack/scan.h"
@@ -148,7 +153,7 @@ TEST(Campaign, ProtectedScheduleAndExpectations) {
   // Aggregates tie out with the per-trial rows.
   size_t runs = 0;
   for (const auto& t : report.trials) runs += t.oracle_runs;
-  EXPECT_EQ(runs, report.total_oracle_runs);
+  EXPECT_EQ(runs, report.totals.oracle_runs);
 
   // JSON report carries the machine-readable essentials.
   const std::string json = report.to_json();
@@ -174,12 +179,12 @@ TEST(Campaign, ReportCarriesACanonicalMetricsBlock) {
   const JsonValue* metrics = doc->find("metrics");
   ASSERT_NE(metrics, nullptr);
   ASSERT_TRUE(metrics->is_object());
-  EXPECT_EQ(metrics->find("oracle_runs")->as_u64(), report.total_oracle_runs);
-  EXPECT_EQ(metrics->find("cache_hits")->as_u64(), report.total_cache_hits);
-  EXPECT_EQ(metrics->find("probe_calls")->as_u64(), report.total_probe_calls);
-  EXPECT_EQ(metrics->find("physical_runs")->as_u64(), report.total_physical_runs);
-  EXPECT_EQ(metrics->find("retry_runs")->as_u64(), report.total_retry_runs);
-  EXPECT_EQ(metrics->find("vote_runs")->as_u64(), report.total_vote_runs);
+  EXPECT_EQ(metrics->find("oracle_runs")->as_u64(), report.totals.oracle_runs);
+  EXPECT_EQ(metrics->find("cache_hits")->as_u64(), report.totals.cache_hits);
+  EXPECT_EQ(metrics->find("probe_calls")->as_u64(), report.totals.probe_calls);
+  EXPECT_EQ(metrics->find("physical_runs")->as_u64(), report.totals.physical_runs);
+  EXPECT_EQ(metrics->find("retry_runs")->as_u64(), report.totals.retry_runs);
+  EXPECT_EQ(metrics->find("vote_runs")->as_u64(), report.totals.vote_runs);
   // Device work counters: present, summed over trials, and informational
   // only — the fingerprint ignores them.
   EXPECT_EQ(metrics->find("sites_decoded")->as_u64(), report.total_sites_decoded);
@@ -206,7 +211,7 @@ TEST(Campaign, ReportCarriesACanonicalMetricsBlock) {
   // The aggregate aliases are still present for existing consumers.
   const JsonValue* aggregate = doc->find("aggregate");
   ASSERT_NE(aggregate, nullptr);
-  EXPECT_EQ(aggregate->find("total_oracle_runs")->as_u64(), report.total_oracle_runs);
+  EXPECT_EQ(aggregate->find("total_oracle_runs")->as_u64(), report.totals.oracle_runs);
 }
 
 TEST(Campaign, FingerprintIsThreadCountInvariant) {
@@ -285,8 +290,8 @@ TEST(CampaignCheckpoint, ResumeAfterKillYieldsIdenticalFingerprint) {
     const campaign::CampaignReport resumed = campaign::run_campaign(ropt);
     EXPECT_EQ(resumed.resumed_trials, 2u);
     EXPECT_EQ(resumed.fingerprint(), reference.fingerprint());
-    EXPECT_EQ(resumed.total_oracle_runs, reference.total_oracle_runs);
-    EXPECT_EQ(resumed.total_cache_hits, reference.total_cache_hits);
+    EXPECT_EQ(resumed.totals.oracle_runs, reference.totals.oracle_runs);
+    EXPECT_EQ(resumed.totals.cache_hits, reference.totals.cache_hits);
     EXPECT_TRUE(resumed.all_expected());
 
     // The rewritten checkpoint now covers the whole campaign; a second
@@ -322,7 +327,6 @@ TEST(CampaignCheckpoint, MismatchedSignatureIsIgnored) {
   campaign::CampaignOptions rescheduled = opt;
   rescheduled.threads = 8;
   rescheduled.batch_width = 1;
-  rescheduled.scan_parallel = false;
   EXPECT_EQ(campaign::options_signature(rescheduled), campaign::options_signature(opt));
   campaign::CampaignOptions renoised = opt;
   renoised.noise = faultsim::NoiseProfile::mild();
@@ -354,6 +358,210 @@ TEST(CampaignCheckpoint, NoisyCampaignTrialKeepsLogicalMetricsAndFingerprint) {
   // The fingerprint digests logical fields only, so noise cannot move it.
   EXPECT_EQ(noisy.fingerprint(), clean.fingerprint());
   EXPECT_LE(t.physical_runs, 3 * clean.trials[0].probe_calls);
+}
+
+// Trial 3 of campaign seed 36: keystream bit 18 is 0 in all 16 golden words,
+// so the alpha probe (table = 0) on its LUT1 changes nothing.  Sticking the
+// silent matches at 1 instead recovers the bit, and with it the key.
+TEST(Campaign, KeystreamBitZeroInEveryWordIsStillFound) {
+  campaign::CampaignOptions opt;
+  opt.seed = 36;
+  const campaign::TrialOutcome t = campaign::run_trial(opt, 3, nullptr);
+  EXPECT_TRUE(t.key_match) << t.failure;
+  EXPECT_TRUE(t.expected);
+}
+
+// ---------------------------------------------------------------------------
+// The run ledger: one field list drives every record of it.
+
+using Fields = std::vector<std::pair<std::string, size_t>>;
+
+Fields fields_of(const runtime::RunLedger& ledger) {
+  Fields out;
+  runtime::for_each_field(ledger, [&](const char* name, size_t v) { out.emplace_back(name, v); });
+  return out;
+}
+
+/// A ledger whose fields hold first, first + 1, ... in declaration order.
+runtime::RunLedger counting_ledger(size_t first) {
+  runtime::RunLedger ledger;
+  runtime::for_each_field(ledger, [&](const char*, size_t& v) { v = first++; });
+  return ledger;
+}
+
+/// Every scalar of a JSON object, keyed by its member path.
+void flatten(const JsonValue& v, const std::string& path, std::map<std::string, std::string>& out) {
+  if (v.is_object()) {
+    for (const auto& [name, member] : v.members) flatten(member, path + "." + name, out);
+  } else if (v.kind == JsonValue::Kind::kBool) {
+    out[path] = v.as_bool() ? "true" : "false";
+  } else {
+    out[path] = v.kind == JsonValue::Kind::kString ? v.string : v.number;
+  }
+}
+
+TEST(RunLedger, EveryFieldSurvivesTheTrialRecord) {
+  campaign::TrialOutcome t;
+  t.index = 5;
+  t.trial_seed = 0x77;
+  static_cast<runtime::RunLedger&>(t) = counting_ledger(10);
+  for (const bool crack : {false, true}) {
+    t.crack = crack;
+    JsonWriter w;
+    campaign::write_trial(w, t);
+    const auto doc = parse_json(w.str());
+    ASSERT_TRUE(doc.has_value());
+    const auto back = campaign::trial_from_json(*doc);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(fields_of(*back), fields_of(t)) << (crack ? "crack" : "attack");
+  }
+}
+
+TEST(RunLedger, AccumulateSumsEveryField) {
+  campaign::CampaignReport report;
+  campaign::TrialOutcome a;
+  campaign::TrialOutcome b;
+  static_cast<runtime::RunLedger&>(a) = counting_ledger(1);
+  static_cast<runtime::RunLedger&>(b) = counting_ledger(100);
+  report.accumulate(a);
+  report.accumulate(b);
+  size_t i = 0;
+  runtime::for_each_field(report.totals, [&](const char* name, size_t v) {
+    EXPECT_EQ(v, 101 + 2 * i) << name;
+    ++i;
+  });
+  EXPECT_EQ(i, std::size(runtime::kRunLedgerFields));
+  EXPECT_EQ(report.totals.transient_rejections, (1 + 8) + (100 + 8));
+
+  // Both report views carry every total: the metrics block under the field
+  // names, the aggregate under total_<name>.
+  const auto doc = parse_json(report.to_json());
+  ASSERT_TRUE(doc.has_value());
+  const JsonValue* metrics = doc->find("metrics");
+  const JsonValue* aggregate = doc->find("aggregate");
+  ASSERT_NE(metrics, nullptr);
+  ASSERT_NE(aggregate, nullptr);
+  runtime::for_each_field(report.totals, [&](const char* name, size_t v) {
+    const JsonValue* m = metrics->find(name);
+    const JsonValue* t = aggregate->find(std::string("total_") + name);
+    ASSERT_NE(m, nullptr) << name;
+    ASSERT_NE(t, nullptr) << name;
+    EXPECT_EQ(m->as_u64(), v) << name;
+    EXPECT_EQ(t->as_u64(), v) << name;
+  });
+}
+
+// A crack trial record in the key order of earlier v4 writers (lut_sites
+// between probe_calls and physical_runs), every ledger field distinct.
+constexpr std::string_view kEarlierCrackRecord =
+    R"({"index":4,"trial_seed":99,"protected":true,"attack_success":true,"key_match":false,)"
+    R"("expected":true,"partial":false,"failure":"","oracle_runs":583,"cache_hits":1,)"
+    R"("probe_calls":584,"lut_sites":657,"physical_runs":600,"retry_runs":5,"vote_runs":7,)"
+    R"("migration_runs":5,"corruption_detections":3,"transient_rejections":2,)"
+    R"("sites_decoded":3053,"parent_promotions":1,"parent_hits":267,"wall_seconds":0.5,)"
+    R"("crack":true,"crack_unique":true,"crack_proven_ambiguous":false,"crack_candidates":315,)"
+    R"("adaptive_probes_to_unique":583,"log2_static_bound":140.5,"log2_hypotheses_final":0,)"
+    R"("phase_runs":{}})";
+
+TEST(RunLedger, EarlierKeyOrderParsesToTheSameTrial) {
+  const auto doc = parse_json(kEarlierCrackRecord);
+  ASSERT_TRUE(doc.has_value());
+  const auto t = campaign::trial_from_json(*doc);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(fields_of(*t), (Fields{{"oracle_runs", 583},
+                                   {"cache_hits", 1},
+                                   {"probe_calls", 584},
+                                   {"physical_runs", 600},
+                                   {"retry_runs", 5},
+                                   {"vote_runs", 7},
+                                   {"migration_runs", 5},
+                                   {"corruption_detections", 3},
+                                   {"transient_rejections", 2}}));
+  EXPECT_EQ(t->index, 4u);
+  EXPECT_EQ(t->lut_sites, 657u);
+  EXPECT_EQ(t->sites_decoded, 3053u);
+  EXPECT_TRUE(t->crack);
+  EXPECT_TRUE(t->crack_unique);
+  EXPECT_EQ(t->crack_candidates, 315u);
+  EXPECT_DOUBLE_EQ(t->log2_static_bound, 140.5);
+
+  // Written back, the record has the same members with the same values.
+  JsonWriter w;
+  campaign::write_trial(w, *t);
+  const auto again = parse_json(w.str());
+  ASSERT_TRUE(again.has_value());
+  std::map<std::string, std::string> before;
+  std::map<std::string, std::string> after;
+  flatten(*doc, "", before);
+  flatten(*again, "", after);
+  EXPECT_EQ(after, before);
+}
+
+// Checkpoints written by the previous writer, which kept the ledger fields
+// in per-struct copies (campaign --seed 0x1ed9e --checkpoint FILE, with
+// --trials 2 --protected-every 2 and with --crack --trials 1).  Resuming
+// from them must reproduce that writer's fingerprints.
+constexpr std::string_view kEarlierAttackCheckpoint =
+    R"({"version":4,"options_signature":8926017432348255170,"trials_total":2,"completed":[)"
+    R"({"index":0,"trial_seed":6096231661922305585,"protected":false,"attack_success":true,)"
+    R"("key_match":true,"expected":true,"partial":false,"failure":"","oracle_runs":7209,)"
+    R"("cache_hits":7433,"probe_calls":14642,"lut_sites":648,"physical_runs":7209,)"
+    R"("retry_runs":0,"vote_runs":0,"migration_runs":0,"corruption_detections":0,)"
+    R"("transient_rejections":0,"sites_decoded":7828,"parent_promotions":3,"parent_hits":164,)"
+    R"("wall_seconds":0.57326672499999998,"phase_runs":{"setup":2,"z-path":35,"beta":1,)"
+    R"("feedback":7168,"alpha2":2,"extract":1}},)"
+    R"({"index":1,"trial_seed":13193320559467878510,"protected":true,"attack_success":false,)"
+    R"("key_match":false,"expected":true,"partial":false,)"
+    R"("failure":"could not identify all 32 z-path LUTs","oracle_runs":11,"cache_hits":0,)"
+    R"("probe_calls":11,"lut_sites":657,"physical_runs":11,"retry_runs":0,"vote_runs":0,)"
+    R"("migration_runs":0,"corruption_detections":0,"transient_rejections":0,)"
+    R"("sites_decoded":12,"parent_promotions":0,"parent_hits":10,)"
+    R"("wall_seconds":0.032253587,"phase_runs":{"setup":2,"z-path":9}}]})";
+constexpr std::string_view kEarlierCrackCheckpoint =
+    R"({"version":4,"options_signature":4956863083881513633,"trials_total":1,"completed":[)"
+    R"({"index":0,"trial_seed":6096231661922305585,"protected":true,"attack_success":true,)"
+    R"("key_match":false,"expected":true,"partial":false,"failure":"","oracle_runs":583,)"
+    R"("cache_hits":1,"probe_calls":584,"lut_sites":657,"physical_runs":583,"retry_runs":0,)"
+    R"("vote_runs":0,"migration_runs":0,"corruption_detections":0,"transient_rejections":0,)"
+    R"("sites_decoded":3053,"parent_promotions":1,"parent_hits":267,)"
+    R"("wall_seconds":0.53842884199999996,"crack":true,"crack_unique":true,)"
+    R"("crack_proven_ambiguous":false,"crack_candidates":315,"adaptive_probes_to_unique":583,)"
+    R"("log2_static_bound":140.33784890293296,"log2_hypotheses_final":0,"phase_runs":{}}]})";
+
+TEST(RunLedger, ResumeFromAnEarlierCheckpointKeepsItsFingerprint) {
+  struct Case {
+    const char* kind;
+    size_t trials;
+    size_t protected_every;
+    std::string_view checkpoint;
+    u64 fingerprint;
+  };
+  for (const Case& c : {Case{"attack", 2, 2, kEarlierAttackCheckpoint, 11471133374113525078ull},
+                        Case{"crack", 1, 0, kEarlierCrackCheckpoint, 12519335533118932521ull}}) {
+    SCOPED_TRACE(c.kind);
+    campaign::CampaignOptions opt;
+    opt.kind = c.kind;
+    opt.trials = c.trials;
+    opt.protected_every = c.protected_every;
+    opt.seed = 0x1ed9e;
+    opt.threads = 1;
+    const std::string path = ::testing::TempDir() + "sbm_earlier_" + c.kind + ".json";
+    {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      std::fwrite(c.checkpoint.data(), 1, c.checkpoint.size(), f);
+      std::fclose(f);
+    }
+    campaign::CampaignOptions ropt = opt;
+    ropt.checkpoint_path = path;
+    ropt.resume = true;
+    const campaign::CampaignReport resumed = campaign::run_campaign(ropt);
+    EXPECT_EQ(resumed.resumed_trials, c.trials);
+    EXPECT_EQ(resumed.fingerprint(), c.fingerprint);
+    // A fresh run recomputes the same trials.
+    EXPECT_EQ(campaign::run_campaign(opt).fingerprint(), c.fingerprint);
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

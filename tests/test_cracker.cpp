@@ -283,10 +283,10 @@ TEST(Cracker, ProtectedVictimUniqueMatchesNetlistTruth) {
   EXPECT_FALSE(res.proven_ambiguous);
   EXPECT_EQ(res.log2_hypotheses_final, 0.0);
   EXPECT_GT(res.log2_static_bound, 100.0);
-  ASSERT_GT(res.adaptive_probes, 0u);
+  ASSERT_GT(res.oracle_runs, 0u);
   // The defender's claimed search cost is astronomically above what the
   // oracle-guided attacker actually paid.
-  EXPECT_GT(res.log2_static_bound - std::log2(static_cast<double>(res.adaptive_probes)), 80.0);
+  EXPECT_GT(res.log2_static_bound - std::log2(static_cast<double>(res.oracle_runs)), 80.0);
 
   const auto truth = sys.crack_truth();
   for (unsigned i = 0; i < 32; ++i) {
@@ -313,7 +313,7 @@ TEST(Cracker, EqualizedVictimProvenAmbiguous) {
   EXPECT_TRUE(res.proven_ambiguous);
   EXPECT_FALSE(res.unique);
   EXPECT_GT(res.log2_hypotheses_final, 0.0);
-  EXPECT_GT(res.adaptive_probes, plain.adaptive_probes);
+  EXPECT_GT(res.oracle_runs, plain.oracle_runs);
 
   // The surviving classes are exactly the planted 3-copy groups.
   const auto truth = sys.crack_truth();
@@ -337,7 +337,7 @@ TEST(Cracker, ThreadAndSimdBackendInvariance) {
   const CrackResult pooled = crack_victim(sys, &runtime::ThreadPool::global());
   ASSERT_TRUE(pooled.success) << pooled.failure;
   EXPECT_EQ(serial.claimant_bytes, pooled.claimant_bytes);
-  EXPECT_EQ(serial.adaptive_probes, pooled.adaptive_probes);
+  EXPECT_EQ(serial.oracle_runs, pooled.oracle_runs);
   EXPECT_EQ(serial.rounds, pooled.rounds);
 
   for (const simd::Backend b :
@@ -347,7 +347,7 @@ TEST(Cracker, ThreadAndSimdBackendInvariance) {
     const CrackResult run = crack_victim(sys, nullptr);
     ASSERT_TRUE(run.success) << simd::backend_name(b) << ": " << run.failure;
     EXPECT_EQ(serial.claimant_bytes, run.claimant_bytes) << simd::backend_name(b);
-    EXPECT_EQ(serial.adaptive_probes, run.adaptive_probes) << simd::backend_name(b);
+    EXPECT_EQ(serial.oracle_runs, run.oracle_runs) << simd::backend_name(b);
   }
 }
 
@@ -369,7 +369,7 @@ TEST(Cracker, ResumeRePaysZeroSettledProbes) {
   restore_probes(settled, resumed_cache);
   const CrackResult resumed = crack_victim(sys, nullptr, &resumed_cache);
   ASSERT_TRUE(resumed.success) << resumed.failure;
-  EXPECT_EQ(resumed.adaptive_probes, 0u);
+  EXPECT_EQ(resumed.oracle_runs, 0u);
   EXPECT_GT(resumed.cache_hits, 0u);
   EXPECT_TRUE(resumed.unique);
   EXPECT_EQ(first.claimant_bytes, resumed.claimant_bytes);
@@ -392,7 +392,7 @@ TEST(CrackCampaign, FingerprintStableAcrossThreadsAndReplay) {
   EXPECT_TRUE(one.all_expected());
   EXPECT_EQ(one.crack_trials, 2u);
   EXPECT_EQ(one.crack_unique_verdicts, 2u);
-  EXPECT_GT(one.total_adaptive_probes, 0u);
+  EXPECT_GT(one.totals.oracle_runs, 0u);
 
   opt.threads = 2;
   const campaign::CampaignReport two = campaign::run_campaign(opt);
@@ -427,7 +427,7 @@ TEST(CrackCampaign, EqualizedTrialExpectsAmbiguityAtHigherCost) {
   EXPECT_TRUE(eq.expected);
   EXPECT_TRUE(eq.crack_proven_ambiguous);
   EXPECT_FALSE(eq.crack_unique);
-  EXPECT_GT(eq.adaptive_probes, plain.adaptive_probes);
+  EXPECT_GT(eq.oracle_runs, plain.oracle_runs);
 }
 
 // Checkpoint layer: crack trials round-trip with every verdict field, and
@@ -442,7 +442,7 @@ TEST(CrackCampaign, CheckpointRoundTripAndSignatureSeparation) {
   t.crack = true;
   t.crack_unique = true;
   t.crack_candidates = 328;
-  t.adaptive_probes = 593;
+  t.oracle_runs = 593;
   t.log2_static_bound = 142.5;
   t.log2_final = 0.0;
   t.expected = true;
@@ -455,7 +455,7 @@ TEST(CrackCampaign, CheckpointRoundTripAndSignatureSeparation) {
   EXPECT_TRUE(r.crack_unique);
   EXPECT_FALSE(r.crack_proven_ambiguous);
   EXPECT_EQ(r.crack_candidates, 328u);
-  EXPECT_EQ(r.adaptive_probes, 593u);
+  EXPECT_EQ(r.oracle_runs, 593u);
   EXPECT_DOUBLE_EQ(r.log2_static_bound, 142.5);
 
   campaign::CampaignOptions attack = opt;

@@ -216,7 +216,7 @@ TEST(FleetOracleTest, DegradedBoardIsQuarantinedAndStopsServing) {
   std::vector<std::vector<u8>> batch(64, sys.golden.bytes);
 
   // Batch 1 lands on board 0; by its last observation the board has the
-  // min_health_samples the EWMA needs and an error rate far above the
+  // kMinHealthSamples the EWMA needs and an error rate far above the
   // quarantine threshold, so it is benched in favour of the clean spare.
   (void)fleetd.run_batch(batch, 8);
   EXPECT_EQ(fleetd.quarantines(), 1u);
@@ -313,7 +313,7 @@ TEST(FleetCampaign, FingerprintIsThreadCountInvariantUnderBoardDeath) {
     EXPECT_EQ(serial.trials[i].phase_runs, parallel.trials[i].phase_runs) << "trial " << i;
   }
   // The board death was real, survived, and reported.
-  EXPECT_GT(serial.total_migration_runs, 0u);
+  EXPECT_GT(serial.totals.migration_runs, 0u);
   EXPECT_EQ(serial.trials[0].physical_runs,
             serial.trials[0].oracle_runs + serial.trials[0].retry_runs +
                 serial.trials[0].vote_runs + serial.trials[0].migration_runs);

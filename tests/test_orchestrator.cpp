@@ -72,8 +72,8 @@ TEST(Orchestrator, AggregateMatchesAccumulatePerTrial) {
   const CampaignReport report = Orchestrator().run(options, fake_hooks());
   CampaignReport manual;
   for (const TrialOutcome& t : report.trials) manual.accumulate(t);
-  EXPECT_EQ(manual.total_oracle_runs, report.total_oracle_runs);
-  EXPECT_EQ(manual.total_probe_calls, report.total_probe_calls);
+  EXPECT_EQ(manual.totals.oracle_runs, report.totals.oracle_runs);
+  EXPECT_EQ(manual.totals.probe_calls, report.totals.probe_calls);
   EXPECT_EQ(manual.unprotected_successes, report.unprotected_successes);
   EXPECT_EQ(manual.protected_resisted, report.protected_resisted);
   EXPECT_EQ(manual.phase_run_totals, report.phase_run_totals);
@@ -93,7 +93,7 @@ TEST(Orchestrator, CancelSkipsRemainingTrials) {
   // The finished prefix is still coherently aggregated.
   size_t oracle = 0;
   for (const TrialOutcome& t : report.trials) oracle += t.oracle_runs;
-  EXPECT_EQ(report.total_oracle_runs, oracle);
+  EXPECT_EQ(report.totals.oracle_runs, oracle);
 }
 
 TEST(Orchestrator, CancelledRunResumesToIdenticalFingerprint) {

@@ -29,7 +29,7 @@ using runtime::ControllerKind;
 using runtime::ProbeController;
 using runtime::ProbeError;
 using runtime::ProbeOutcome;
-using runtime::RetryStats;
+using runtime::RunLedger;
 
 constexpr snow3g::Iv kHostIv = {0xea024714, 0xad5c4d84, 0xdf1f9b25, 0x1c0bf45f};
 
@@ -38,12 +38,12 @@ std::vector<u32> value(u32 tag) { return {tag, 0xc0ffee00u}; }
 /// Drives a fresh one-slot session to settlement with a scripted read
 /// sequence and returns the outcome.
 ProbeOutcome settle(ProbeController& ctl, const std::vector<ProbeOutcome>& reads) {
-  RetryStats stats;
+  RunLedger ledger;
   ctl.begin(1);
   for (const ProbeOutcome& r : reads) {
     EXPECT_FALSE(ctl.settled(0)) << "settled before the script ran out";
     EXPECT_GE(ctl.reads_wanted(0), 1u);
-    ctl.absorb(0, r, stats);
+    ctl.absorb(0, r, ledger);
   }
   EXPECT_TRUE(ctl.settled(0)) << "script exhausted without settling";
   EXPECT_EQ(ctl.reads_wanted(0), 0u);
@@ -90,12 +90,12 @@ TEST(AdaptiveController, EagerBundleDemandsExactlyTheRemainingDepth) {
   cfg.prior_corrupt = 0.55;  // target depth 3 (see above)
   cfg.prior_weight = 1e6;
   auto ctl = runtime::make_adaptive_controller(cfg);
-  RetryStats stats;
+  RunLedger ledger;
   ctl->begin(1);
   EXPECT_EQ(ctl->reads_wanted(0), 3u) << "fresh slot demands the full depth";
-  ctl->absorb(0, value(4), stats);
+  ctl->absorb(0, value(4), ledger);
   EXPECT_EQ(ctl->reads_wanted(0), 2u) << "one vote in, two to go";
-  ctl->absorb(0, ProbeOutcome(ProbeError::kTimeout), stats);
+  ctl->absorb(0, ProbeOutcome(ProbeError::kTimeout), ledger);
   EXPECT_EQ(ctl->reads_wanted(0), 1u) << "after an error, probe the board alone";
   EXPECT_TRUE(ctl->retrying(0));
 }
@@ -141,14 +141,14 @@ TEST(AdaptiveController, ExhaustedErrorBudgetSettlesDead) {
 
 TEST(StaticController, MatchesTheRetryPolicyVoteAndDemandsSingleReads) {
   auto ctl = runtime::make_static_controller(runtime::RetryPolicy::voting(3));
-  RetryStats stats;
+  RunLedger ledger;
   ctl->begin(1);
   EXPECT_EQ(ctl->reads_wanted(0), 1u) << "the reference controller never bundles";
-  ctl->absorb(0, value(5), stats);
-  ctl->absorb(0, value(5), stats);
+  ctl->absorb(0, value(5), ledger);
+  ctl->absorb(0, value(5), ledger);
   EXPECT_FALSE(ctl->settled(0)) << "3-vote needs three identical reads";
   EXPECT_EQ(ctl->reads_wanted(0), 1u);
-  ctl->absorb(0, value(5), stats);
+  ctl->absorb(0, value(5), ledger);
   ASSERT_TRUE(ctl->settled(0));
   EXPECT_EQ(*ctl->take(0), value(5));
 }
@@ -164,7 +164,7 @@ TEST(StaticController, MatchesTheRetryPolicyVoteAndDemandsSingleReads) {
 std::pair<size_t, size_t> run_synthetic(ProbeController& ctl, double p, u32 collisions,
                                         size_t probes, u64 seed) {
   Rng rng(seed);
-  RetryStats stats;
+  RunLedger ledger;
   size_t wrong = 0;
   size_t reads = 0;
   for (size_t i = 0; i < probes; ++i) {
@@ -178,9 +178,9 @@ std::pair<size_t, size_t> run_synthetic(ProbeController& ctl, double p, u32 coll
         std::vector<u32> bad = truth;
         const u32 bit = rng.next_u32() % collisions;  // collisions <= 64
         bad[bit / 32] ^= u32{1} << (bit % 32);
-        ctl.absorb(0, ProbeOutcome(std::move(bad)), stats);
+        ctl.absorb(0, ProbeOutcome(std::move(bad)), ledger);
       } else {
-        ctl.absorb(0, ProbeOutcome(truth), stats);
+        ctl.absorb(0, ProbeOutcome(truth), ledger);
       }
     }
     const ProbeOutcome out = ctl.take(0);

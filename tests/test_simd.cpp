@@ -579,7 +579,7 @@ TEST(SimdAttack, CampaignFingerprintInvariantAcrossBackendsAndThreads) {
     const campaign::CampaignReport ref = campaign::run_campaign(opt);
     ASSERT_TRUE(ref.all_expected());
     ref_fingerprint = ref.fingerprint();
-    ref_runs = ref.total_oracle_runs;
+    ref_runs = ref.totals.oracle_runs;
   }
 
   std::vector<Backend> backends = {Backend::kScalar};
@@ -594,7 +594,7 @@ TEST(SimdAttack, CampaignFingerprintInvariantAcrossBackendsAndThreads) {
       vopt.threads = threads;
       const campaign::CampaignReport rep = campaign::run_campaign(vopt);
       EXPECT_EQ(rep.fingerprint(), ref_fingerprint);
-      EXPECT_EQ(rep.total_oracle_runs, ref_runs);
+      EXPECT_EQ(rep.totals.oracle_runs, ref_runs);
     }
   }
 }

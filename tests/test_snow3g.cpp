@@ -278,6 +278,30 @@ TEST(Faults, OutputCutMakesKeystreamTheLfsrStream) {
   }
 }
 
+TEST(Faults, Alpha2ZeroTestCannotMisfire) {
+  // The attack's alpha2 phase zeroes one pair of each LUT1's XOR trio
+  // (s0, s15 + R1, R2) on the key-independent configuration and takes the
+  // pair as the FSM pair when the bit reads 0 in all w = 16 words.  There the
+  // LFSR is all zero, so the FSM pair leaves the s0 column, which is 0; a
+  // wrong pair leaves the column of s15 + R1 or of R2.  Those columns do not
+  // depend on the key, so one model run shows for every bit that neither
+  // wrong pair can pass the test.
+  Snow3g model({}, {}, FaultConfig::key_independent());
+  u32 sum_seen = 0;  // OR over the words of s15 + R1
+  u32 r2_seen = 0;   // OR over the words of R2
+  for (int t = 0; t < 16; ++t) {
+    const u32 s0 = model.lfsr()[0];
+    const u32 sum = model.lfsr()[15] + model.r1();
+    const u32 r2 = model.r2();
+    EXPECT_EQ(s0, 0u);
+    EXPECT_EQ(model.next(), s0 ^ sum ^ r2);
+    sum_seen |= sum;
+    r2_seen |= r2;
+  }
+  EXPECT_EQ(sum_seen, 0xffffffffu);
+  EXPECT_EQ(r2_seen, 0xffffffffu);
+}
+
 TEST(F8, EncryptDecryptRoundTrip) {
   Key128 ck{};
   for (size_t i = 0; i < 16; ++i) ck[i] = static_cast<u8>(i * 17);
