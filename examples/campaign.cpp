@@ -16,7 +16,6 @@
 
 #include "campaign/campaign.h"
 #include "obs/metrics.h"
-#include "simd/backend.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 
@@ -103,10 +102,6 @@ int main(int argc, char** argv) {
       opt.words = static_cast<size_t>(std::strtoull(next(), nullptr, 0));
     } else if (arg == "--batch-width") {
       opt.batch_width = static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
-      if (opt.batch_width == 0 || opt.batch_width > simd::kMaxLanes) {
-        std::fprintf(stderr, "--batch-width must be 1-%u\n", simd::kMaxLanes);
-        return 2;
-      }
     } else if (arg == "--no-cache") {
       opt.use_probe_cache = false;
     } else if (arg == "--noise") {
@@ -122,17 +117,13 @@ int main(int argc, char** argv) {
       opt.noise.death = std::strtod(next(), nullptr);
     } else if (arg == "--fleet") {
       opt.fleet_size = static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
-      if (opt.fleet_size == 0) {
-        std::fprintf(stderr, "--fleet must be >= 1\n");
-        return 2;
-      }
     } else if (arg == "--fleet-factors") {
       opt.fleet_noise_factors.clear();
       const char* s = next();
       char* end = nullptr;
       for (;;) {
         const double v = std::strtod(s, &end);
-        if (end == s || v < 0) {
+        if (end == s) {
           std::fprintf(stderr, "--fleet-factors wants a comma-separated list of "
                                "non-negative multipliers\n");
           return 2;
@@ -171,6 +162,11 @@ int main(int argc, char** argv) {
       usage(argv[0]);
       return 2;
     }
+  }
+
+  if (const std::string error = campaign::options_error(opt); !error.empty()) {
+    std::fprintf(stderr, "invalid campaign options: %s\n", error.c_str());
+    return 2;
   }
 
   // The output flags turn the corresponding obs bits on in addition to

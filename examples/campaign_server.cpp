@@ -47,9 +47,11 @@ int usage(const char* argv0) {
                "  --pool-threads N     shared trial/scan pool size (default: hardware)\n"
                "  --tenant-cap N       per-tenant queue capacity (default 64)\n"
                "  --total-cap N        global queue capacity (default 1024)\n"
-               "  --no-resume          do not reschedule in-flight jobs from the store\n"
                "  --metrics            enable the obs metrics registry\n"
-               "  --verbose            log job lifecycle events to stderr\n",
+               "  --verbose            log job lifecycle events to stderr\n"
+               "\n"
+               "A restart with the same --store always reschedules the jobs that were\n"
+               "queued or running; they resume from their checkpoints.\n",
                argv0);
   return 2;
 }
@@ -87,8 +89,6 @@ int main(int argc, char** argv) {
       svc_opt.limits.per_tenant_capacity = std::strtoul(next(), nullptr, 10);
     } else if (arg == "--total-cap") {
       svc_opt.limits.total_capacity = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--no-resume") {
-      svc_opt.resume_on_start = false;
     } else if (arg == "--metrics") {
       metrics = true;
     } else if (arg == "--verbose") {

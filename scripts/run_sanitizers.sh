@@ -49,11 +49,12 @@ fi
 # parent-image cache (concurrent promotion and eviction), the crypto
 # primitives and the envelope's per-thread keystream and MAC caches, and the
 # FINDLUT scans (the engine reads chunks at computed offsets l + c*d), and
-# the run ledger's trial records and checkpoint resume — where
+# the run ledger's trial records and checkpoint resume, the probe-file
+# reader and its mutation sweep, and the campaign option checks — where
 # a sanitizer finding is most likely and the runs are cheap enough for CI.
 # smoke_exclude drops the two FINDLUT cases that take seconds even
 # uninstrumented.  The full run takes the whole tier-1 label.
-smoke_filter='^(FindLut|ScanEngine|ThreadPool|Parallel|ProbeCache|Retry|FaultyOracle|NoiseProfile|ProbeCacheGuard|AttackCheckpoint|ObsMode|Metrics|Trace|Orchestrator|ServiceProtocol|FairScheduler|JobStore|ServiceSocket|ServiceRestart|ServiceMetricsParity|ServiceDeadline|SimdDispatch|SimdLaneVec|SimdTranspose|FlatMap|ProbeCacheFlatMap|AdaptiveController|StaticController|AdaptivePipeline|AdaptiveCampaign|ControllerConfig|FleetOracleTest|FleetCampaign|DecoyHypothesis|Cracker|CrackCampaign|CrackService|ParentCache|Secure|Sha256|Hmac|Aes256|RunLedger)'
+smoke_filter='^(FindLut|ScanEngine|ThreadPool|Parallel|ProbeCache|Retry|FaultyOracle|NoiseProfile|ProbeCacheGuard|AttackCheckpoint|ObsMode|Metrics|Trace|Orchestrator|ServiceProtocol|FairScheduler|JobStore|ServiceSocket|ServiceRestart|ServiceMetricsParity|ServiceDeadline|SimdDispatch|SimdLaneVec|SimdTranspose|FlatMap|ProbeCacheFlatMap|AdaptiveController|StaticController|AdaptivePipeline|AdaptiveCampaign|ControllerConfig|FleetOracleTest|FleetCampaign|DecoyHypothesis|Cracker|CrackCampaign|CrackService|ParentCache|Secure|Sha256|Hmac|Aes256|RunLedger|CampaignOptions)'
 smoke_exclude='^ScanEngine\.(RandomizedEquivalenceAcrossOffsetsAndOrders|NoisyVotingPipelineIdenticalAtOneAndEightScanThreads)$'
 
 status=0

@@ -139,9 +139,11 @@ struct CrackLoopStats {
 CrackLoopStats run_crack_loop(DecoyHypothesisSet& hyp, const CrackProbeFn& probe);
 
 /// The cracker runs on the shared probe policy.  `words` >= 16 keeps the 65
-/// reference classes pairwise distinct.  To resume, restore_probes a prior
-/// run's settled outcomes into `cache` first: identical probes are then
-/// answered without touching the board.
+/// reference classes pairwise distinct.  It resumes exactly as the Attack
+/// does: the caller's `cache` is the checkpoint — export_probes it (and
+/// probes_to_json it) after a board dies, restore_probes a prior run's
+/// outcomes into it first, and identical probes are then answered without
+/// touching the board.
 using CrackerConfig = ProbeSessionConfig;
 
 /// Probe accounting is the RunLedger base, under the same contract as

@@ -12,7 +12,6 @@
 #include "bitstream/patcher.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/probe_cache.h"
 #include "snow3g/snow3g.h"
 
 namespace sbm::attack {
@@ -42,21 +41,9 @@ bool Attack::lost(AttackResult& result) {
     result.failure = std::string(phase_) + ": device lost (" +
                      runtime::probe_error_name(fatal) + ")";
     note("irrecoverable fault during " + std::string(phase_) + " (" +
-         runtime::probe_error_name(fatal) + "); stopping with a checkpoint");
+         runtime::probe_error_name(fatal) + "); stopping with a partial result");
   }
   return true;
-}
-
-AttackCheckpoint Attack::make_checkpoint(const AttackResult& result) const {
-  AttackCheckpoint cp;
-  cp.phase = phase_;
-  cp.completed = completed_phases_;
-  cp.lut1 = result.lut1;
-  cp.feedback = result.feedback;
-  for (const Patch& p : beta_patches_) cp.beta.push_back({p.byte_index, p.order, p.init});
-  cp.load_active_high = result.load_active_high;
-  if (config_.cache != nullptr) cp.probes = export_probes(*config_.cache);
-  return cp;
 }
 
 AttackResult Attack::execute() {
@@ -117,12 +104,10 @@ AttackResult Attack::execute() {
       result.phase_runs.emplace_back(ph.name, runs() - mark);
       mark = runs();
       if (!ok) break;
-      completed_phases_.push_back(ph.name);
     }
   }
   result.success = ok;
   static_cast<runtime::RunLedger&>(result) = session_.ledger();
-  result.checkpoint = make_checkpoint(result);
   active_ = nullptr;
 
   // Mirror the per-run record into the process-wide registry (DESIGN.md

@@ -28,14 +28,15 @@
 // bounded retry, noisy reads are confirmed by r-repetition agreement voting,
 // and an irrecoverable fault (device death, unconfirmable reads) makes the
 // current phase return a *partial* AttackResult that carries the verified
-// artifacts so far plus a serializable AttackCheckpoint, instead of crashing
-// or acting on a corrupt read.  The paper's oracle_runs metric counts
-// logical probes only; retry/vote overhead is accounted separately.
+// artifacts so far, instead of crashing or acting on a corrupt read.  The
+// caller's probe cache is the checkpoint: export_probes it after a dead
+// board, restore_probes it into the next run's cache, and the resumed run
+// re-derives every artifact from cache hits.  The paper's oracle_runs
+// metric counts logical probes only; retry/vote overhead is accounted
+// separately.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "attack/findlut.h"
@@ -79,38 +80,6 @@ struct FeedbackLut {
   bool operator==(const FeedbackLut&) const = default;
 };
 
-/// Serializable record of everything the attack has verified so far: the
-/// artifact a dead board leaves behind.  Produced on every run (complete or
-/// partial) and round-trips through JSON, so a campaign can persist it and
-/// a later session can resume the analysis without re-spending the probes.
-struct AttackCheckpoint {
-  std::string phase;                   // last phase entered
-  std::vector<std::string> completed;  // phases completed, pipeline order
-  std::vector<ZPathLut> lut1;
-  std::vector<FeedbackLut> feedback;
-  struct BetaPatch {
-    size_t byte_index = 0;
-    std::array<u8, 4> order{};
-    u64 init = 0;
-    bool operator==(const BetaPatch&) const = default;
-  };
-  std::vector<BetaPatch> beta;
-  bool load_active_high = true;
-
-  /// Every settled probe outcome (confirmed value or persistent rejection)
-  /// in the run's cache when the checkpoint was built, sorted by key
-  /// (export_probes; empty without a cache).  To resume, restore_probes
-  /// them into the next run's cache: the dead board's completed work then
-  /// answers as hits, and only what never settled is re-probed.
-  using SavedProbe = sbm::attack::SavedProbe;
-  std::vector<SavedProbe> probes;
-
-  bool operator==(const AttackCheckpoint&) const = default;
-
-  std::string to_json() const;
-  static std::optional<AttackCheckpoint> from_json(std::string_view json);
-};
-
 /// The run's cost is its RunLedger base (DESIGN.md §4f): oracle_runs is the
 /// paper's metric — one per logical probe however often retries and votes
 /// re-ran it physically, so it is unchanged by the retry policy and the
@@ -120,8 +89,9 @@ struct AttackResult : runtime::RunLedger {
   bool success = false;
   /// An irrecoverable hardware fault (runtime::ProbeError::kDead or an
   /// unconfirmable oracle) stopped the pipeline early: `failure` names the
-  /// phase, `abort_error` the underlying fault kind, and everything verified
-  /// before the fault is retained here and in `checkpoint`.
+  /// phase, `abort_error` the underlying fault kind, `phase_runs` ends with
+  /// the failing phase, and everything verified before the fault is retained
+  /// here.  The settled probes live in the caller's cache (export_probes).
   bool partial = false;
   runtime::ProbeError abort_error = runtime::ProbeError::kNone;
   std::string failure;
@@ -137,11 +107,10 @@ struct AttackResult : runtime::RunLedger {
   snow3g::RecoveredSecrets secrets{};
   bool key_confirmed = false;  // software model reproduces the clean device
 
-  /// Logical probes spent per phase (cost breakdown of oracle_runs).
+  /// Logical probes spent per phase entered, in pipeline order (cost
+  /// breakdown of oracle_runs); on a partial result the last is the phase
+  /// the fault stopped.
   std::vector<std::pair<std::string, size_t>> phase_runs;
-
-  /// Verified-artifact snapshot (always filled; see AttackCheckpoint).
-  AttackCheckpoint checkpoint;
 };
 
 class Attack {
@@ -175,7 +144,6 @@ class Attack {
   Patch feedback_patch(const std::vector<u8>& base, const std::vector<u8>& base_beta,
                        const FeedbackLut& lut) const;
   void note(std::string message);
-  AttackCheckpoint make_checkpoint(const AttackResult& result) const;
 
   bool phase_zpath(AttackResult& result);
   bool phase_beta(AttackResult& result);
@@ -189,7 +157,6 @@ class Attack {
   /// reads, accounting) for this run.
   ProbeSession session_;
   const char* phase_ = "setup";
-  std::vector<std::string> completed_phases_;
   std::vector<u8> golden_;     // pristine bitstream
   std::vector<u8> base_;       // golden with the CRC check disabled
   std::vector<u32> z_golden_;  // keystream of the unmodified device

@@ -10,6 +10,7 @@
 #include "attack/scan.h"
 #include "bitstream/parser.h"
 #include "bitstream/patcher.h"
+#include "common/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/probe_cache.h"
@@ -248,6 +249,65 @@ void restore_probes(std::span<const SavedProbe> probes, runtime::ProbeCache& cac
     cache.store(runtime::ProbeKey{p.key_hi, p.key_lo, p.words},
                 p.rejected ? runtime::ProbeResult{} : runtime::ProbeResult(p.keystream));
   }
+}
+
+// v2 added "probes" to a file that also carried the attack's artifacts
+// (lut1, beta, feedback, phase names); the reader ignores those keys, so a
+// v2 file of either layout loads to the same probes.
+constexpr u64 kProbeFileVersion = 2;
+
+std::string probes_to_json(std::span<const SavedProbe> probes) {
+  JsonWriter w;
+  w.begin_object();
+  w.field("version", kProbeFileVersion);
+  w.key("probes").begin_array();
+  for (const SavedProbe& p : probes) {
+    w.begin_object();
+    w.field("key_hi", p.key_hi);
+    w.field("key_lo", p.key_lo);
+    w.field("words", p.words);
+    w.field("rejected", p.rejected);
+    w.key("keystream").begin_array();
+    for (const u32 word : p.keystream) w.value(u64{word});
+    w.end_array();
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  return w.str();
+}
+
+std::optional<std::vector<SavedProbe>> probes_from_json(std::string_view json) {
+  const std::optional<JsonValue> doc = parse_json(json);
+  if (!doc || !doc->is_object()) return std::nullopt;
+  const JsonValue* version = doc->find("version");
+  if (version == nullptr || version->as_u64() != kProbeFileVersion) return std::nullopt;
+  const JsonValue* items = doc->find("probes");
+  if (items == nullptr || !items->is_array()) return std::nullopt;
+
+  std::vector<SavedProbe> probes;
+  for (const JsonValue& item : items->items) {
+    if (!item.is_object()) return std::nullopt;
+    const JsonValue* hi = item.find("key_hi");
+    const JsonValue* lo = item.find("key_lo");
+    const JsonValue* words = item.find("words");
+    const JsonValue* rejected = item.find("rejected");
+    const JsonValue* keystream = item.find("keystream");
+    if (hi == nullptr || lo == nullptr || words == nullptr || rejected == nullptr ||
+        keystream == nullptr || !keystream->is_array()) {
+      return std::nullopt;
+    }
+    SavedProbe p{hi->as_u64(), lo->as_u64(), words->as_u64(), rejected->as_bool(), {}};
+    for (const JsonValue& word : keystream->items) {
+      p.keystream.push_back(static_cast<u32>(word.as_u64()));
+    }
+    // A restored probe is served as a cache hit, so its shape must be one
+    // the probe cache itself could have stored: a value of exactly `words`
+    // words, or a rejection without one.
+    if (p.words == 0 || p.keystream.size() != (p.rejected ? 0 : p.words)) return std::nullopt;
+    probes.push_back(std::move(p));
+  }
+  return probes;
 }
 
 std::optional<BetaStage> establish_beta(ProbeSession& session, const std::vector<u8>& base,

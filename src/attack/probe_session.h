@@ -10,9 +10,9 @@
 //     demanded physical read into full bit-sliced oracle chunks;
 //   * poisoning guard — only confirmed values and persistent rejections
 //     enter the cache, which is therefore the one record of settled
-//     probes: a checkpoint exports it (export_probes) and a resume restores
-//     it (restore_probes), so a resumed run never re-pays probes a dead
-//     board already answered.
+//     probes and the checkpoint of every engine: the caller exports it
+//     (export_probes) and a resume restores it (restore_probes), so a
+//     resumed run never re-pays probes a dead board already answered.
 //
 // Accounting is the contract of DESIGN.md §4f: the session fills one
 // runtime::RunLedger, whose oracle_runs counts logical probes only (noise-
@@ -24,6 +24,8 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "attack/findlut.h"
@@ -52,7 +54,7 @@ struct Patch {
 };
 
 /// A probe outcome that settled (confirmed value or persistent rejection):
-/// one probe cache entry in checkpoint form.  Keys are runtime::make_probe_key
+/// one probe cache entry in saved form.  Keys are runtime::make_probe_key
 /// digests of the patched bitstream, exactly as the probe cache stores them.
 struct SavedProbe {
   u64 key_hi = 0;
@@ -63,12 +65,20 @@ struct SavedProbe {
   bool operator==(const SavedProbe&) const = default;
 };
 
-/// Every settled outcome in `cache`, sorted by key so a checkpoint built
-/// from it is deterministic.
+/// Every settled outcome in `cache`, sorted by key so the export is
+/// deterministic.
 std::vector<SavedProbe> export_probes(const runtime::ProbeCache& cache);
-/// Stores `probes` (a checkpoint's settled outcomes) into `cache`, so a
-/// resumed run answers them as hits instead of re-running them physically.
+/// Stores `probes` into `cache`, so a resumed run answers them as hits
+/// instead of re-running them physically.
 void restore_probes(std::span<const SavedProbe> probes, runtime::ProbeCache& cache);
+/// The checkpoint file: {"version": 2, "probes": [{key_hi, key_lo, words,
+/// rejected, keystream}, ...]}.
+std::string probes_to_json(std::span<const SavedProbe> probes);
+/// Parses a checkpoint file (other top-level keys are ignored).  The file is
+/// outside input: nullopt on a wrong version or on any probe the cache could
+/// never have stored (missing key, words == 0, a value whose length is not
+/// `words`, a rejection that carries a keystream).
+std::optional<std::vector<SavedProbe>> probes_from_json(std::string_view json);
 
 /// The attacker's probe policy, shared by every oracle-guided engine
 /// (PipelineConfig derives from it; the Cracker uses it as is).

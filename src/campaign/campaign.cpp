@@ -16,8 +16,23 @@
 #include "obs/trace.h"
 #include "runtime/probe_cache.h"
 #include "runtime/thread_pool.h"
+#include "simd/backend.h"
 
 namespace sbm::campaign {
+
+std::string options_error(const CampaignOptions& options) {
+  if (options.kind != "attack" && options.kind != "crack") return "kind must be attack or crack";
+  if (options.trials == 0) return "trials must be >= 1";
+  if (options.words == 0) return "words must be >= 1";
+  if (options.batch_width == 0 || options.batch_width > simd::kMaxLanes) {
+    return "batch_width must be 1-" + std::to_string(simd::kMaxLanes);
+  }
+  if (options.fleet_size == 0) return "fleet_size must be >= 1";
+  for (const double factor : options.fleet_noise_factors) {
+    if (!(factor >= 0)) return "fleet noise factors must be >= 0";
+  }
+  return {};
+}
 
 TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::ThreadPool* pool) {
   const auto start = std::chrono::steady_clock::now();

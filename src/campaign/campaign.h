@@ -217,6 +217,13 @@ constexpr bool is_protected_trial(const CampaignOptions& options, size_t index) 
          index % options.protected_every == options.protected_every - 1;
 }
 
+/// The range checks every entry point applies to CampaignOptions (the
+/// campaign CLI, options_from_json and so the service's job spec): empty
+/// when the options are runnable, else what is wrong with them — trials,
+/// words and fleet_size >= 1, batch_width in 1..simd::kMaxLanes, every
+/// fleet noise factor >= 0, kind "attack" or "crack".
+std::string options_error(const CampaignOptions& options);
+
 /// Runs one trial (exposed for tests).  `pool` may be null (serial scans).
 TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::ThreadPool* pool);
 

@@ -173,11 +173,7 @@ std::optional<CampaignOptions> options_from_json(const JsonValue& v) {
   if (const JsonValue* f = v.find("threads")) o.threads = static_cast<unsigned>(f->as_u64());
   if (const JsonValue* f = v.find("seed")) o.seed = f->as_u64();
   get_size("protected_every", o.protected_every);
-  if (const JsonValue* f = v.find("kind")) {
-    o.kind = f->as_string();
-    // Unknown job kinds are malformed specs: the service answers 400.
-    if (o.kind != "attack" && o.kind != "crack") return std::nullopt;
-  }
+  if (const JsonValue* f = v.find("kind")) o.kind = f->as_string();
   if (const JsonValue* f = v.find("equalized")) o.equalized = f->as_bool();
   get_size("words", o.words);
   if (const JsonValue* f = v.find("use_probe_cache")) o.use_probe_cache = f->as_bool(true);
@@ -189,18 +185,12 @@ std::optional<CampaignOptions> options_from_json(const JsonValue& v) {
     if (!kind) return std::nullopt;  // service job validation rejects with 400
     o.controller = *kind;
   }
-  if (const JsonValue* f = v.find("fleet_size")) {
-    o.fleet_size = static_cast<unsigned>(f->as_u64(1));
-    if (o.fleet_size == 0) return std::nullopt;
-  }
+  if (const JsonValue* f = v.find("fleet_size")) o.fleet_size = static_cast<unsigned>(f->as_u64(1));
   if (const JsonValue* f = v.find("fleet_hedge")) o.fleet_hedge = f->as_bool();
   if (const JsonValue* f = v.find("fleet_noise_factors")) {
     if (!f->is_array()) return std::nullopt;
-    for (const JsonValue& item : f->items) {
-      const double factor = item.as_double(-1);
-      if (factor < 0) return std::nullopt;
-      o.fleet_noise_factors.push_back(factor);
-    }
+    // A non-number reads as -1, which options_error rejects.
+    for (const JsonValue& item : f->items) o.fleet_noise_factors.push_back(item.as_double(-1));
   }
   if (const JsonValue* f = v.find("deadline_seconds")) {
     o.deadline_seconds = f->as_double();
@@ -226,6 +216,8 @@ std::optional<CampaignOptions> options_from_json(const JsonValue& v) {
       return std::nullopt;
     }
   }
+  // Out-of-range options are malformed specs: the service answers 400.
+  if (!options_error(o).empty()) return std::nullopt;
   return o;
 }
 

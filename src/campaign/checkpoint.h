@@ -38,7 +38,8 @@ void write_options(JsonWriter& w, const CampaignOptions& options);
 /// submission may specify only the knobs it cares about.  "noise" may be
 /// either the object write_options emits or a profile name string
 /// ("none" | "mild" | "harsh", optional "@seed" suffix).  nullopt when `v`
-/// is not an object or the noise spec is unknown.
+/// is not an object, the noise spec or controller is unknown, a present
+/// deadline_seconds is not positive, or options_error rejects the result.
 std::optional<CampaignOptions> options_from_json(const JsonValue& v);
 
 struct CampaignCheckpoint {

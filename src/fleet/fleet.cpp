@@ -76,7 +76,6 @@ FleetOracle::FleetOracle(const fpga::System& system, const snow3g::Iv& iv,
         std::make_unique<Board>(system, iv, profile, pool, batch_width, i));
     publish_gauges(*boards_.back());
   }
-  last_serving_ = options_.start_board % boards_.size();
 }
 
 unsigned FleetOracle::batch_lanes() const { return boards_[0]->faulty.batch_lanes(); }
@@ -88,23 +87,12 @@ unsigned FleetOracle::alive_boards() const {
   return alive;
 }
 
-FleetOracle::Board* FleetOracle::pick_board() {
-  const size_t n = boards_.size();
-  for (BoardState want : {BoardState::kHealthy, BoardState::kQuarantined}) {
-    for (size_t i = 0; i < n; ++i) {
-      Board& b = *boards_[(options_.start_board + i) % n];
-      if (b.health.state == want) return &b;
-    }
-  }
-  return nullptr;
-}
+FleetOracle::Board* FleetOracle::pick_board() { return pick_peer(nullptr); }
 
 FleetOracle::Board* FleetOracle::pick_peer(const Board* not_this) {
-  const size_t n = boards_.size();
   for (BoardState want : {BoardState::kHealthy, BoardState::kQuarantined}) {
-    for (size_t i = 0; i < n; ++i) {
-      Board& b = *boards_[(options_.start_board + i) % n];
-      if (&b != not_this && b.health.state == want) return &b;
+    for (const auto& b : boards_) {
+      if (b.get() != not_this && b->health.state == want) return b.get();
     }
   }
   return nullptr;

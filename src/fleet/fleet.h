@@ -69,10 +69,6 @@ struct FleetOptions {
   /// Duplicate ragged tail chunks on a second healthy board and take the
   /// first usable answer (deterministic tie-break: primary wins).
   bool hedge = false;
-  /// Scheduling knob: boards are preferred in (start_board + i) % boards
-  /// order.  Logical attack results are invariant under this rotation —
-  /// see the determinism contract in DESIGN.md §4k.
-  unsigned start_board = 0;
 };
 
 /// EWMA smoothing factor for the per-board error rate.
@@ -138,8 +134,8 @@ class FleetOracle : public attack::Oracle {
     obs::Gauge* g_state = nullptr;      // fleet.board<i>.state
   };
 
-  /// Next serving board: healthy boards first, then quarantined, in
-  /// (start_board + i) % N rotation order; nullptr when all are dead.
+  /// Next serving board: healthy boards first, then quarantined, each in
+  /// index order; nullptr when all are dead.
   Board* pick_board();
   /// A usable (non-dead) board other than `not_this`, same order; nullptr
   /// when none exists.

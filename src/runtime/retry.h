@@ -11,8 +11,8 @@
 // by requiring `confirm` bit-identical repetitions (r-repetition agreement
 // voting: two independently corrupted captures essentially never coincide,
 // so an agreed value is the true one), and anything that cannot be confirmed
-// escalates to kDead so the pipeline can stop with a checkpoint instead of
-// acting on a corrupt read.
+// escalates to kDead so the pipeline can stop with a partial result instead
+// of acting on a corrupt read.
 //
 // Accounting contract: the paper's cost metric (RunLedger::oracle_runs)
 // counts logical probes only.  Extra physical runs spent on retries and
@@ -45,7 +45,7 @@ enum class ProbeError : u8 {
   kTimeout,
   /// The device is gone: timeouts/corruption exhausted the retry budget.
   /// Never retried; the pipeline phase containing it aborts with a partial
-  /// result and a checkpoint.
+  /// result (its settled probes stay in the caller's cache).
   kDead,
 };
 

@@ -2,7 +2,6 @@
 
 #include "campaign/checkpoint.h"
 #include "common/json.h"
-#include "simd/backend.h"
 
 namespace sbm::service {
 
@@ -71,14 +70,9 @@ std::optional<JobSpec> job_spec_from_json(const JsonValue& v) {
     spec.options = *options;
   }
   // Fleet-size cap is service policy (a tenant cannot demand an absurd
-  // board pool); fleet_size == 0 and non-positive deadlines are already
-  // rejected by options_from_json.
-  if (spec.options.trials == 0 || spec.options.words == 0 ||
-      spec.options.batch_width == 0 ||
-      spec.options.batch_width > simd::kMaxLanes ||
-      spec.options.fleet_size > 64) {
-    return std::nullopt;
-  }
+  // board pool); the range checks every entry point shares are
+  // campaign::options_error, applied by options_from_json.
+  if (spec.options.fleet_size > 64) return std::nullopt;
   return spec;
 }
 

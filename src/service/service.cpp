@@ -127,7 +127,7 @@ CampaignService::CampaignService(ServiceOptions options)
     const bool in_flight = rec.state == JobState::kQueued || rec.state == JobState::kRunning;
     if (!in_flight) {
       job->final_metrics_json = extract_metrics(rec.report_json);
-    } else if (options_.resume_on_start) {
+    } else {
       // A job interrupted mid-run goes back to queued; its finished trials
       // live in the checkpoint and will be resumed, not re-run.
       job->record.state = JobState::kQueued;

@@ -48,8 +48,6 @@ struct ServiceOptions {
   /// Threads in the shared trial/scan pool; 0 = hardware concurrency.
   unsigned pool_threads = 0;
   SchedulerLimits limits{};
-  /// Reload the store and reschedule in-flight jobs on construction.
-  bool resume_on_start = true;
   bool verbose = false;
 };
 

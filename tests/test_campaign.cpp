@@ -20,6 +20,8 @@
 #include "fpga/system.h"
 #include "runtime/probe_cache.h"
 #include "runtime/thread_pool.h"
+#include "service/protocol.h"
+#include "simd/backend.h"
 
 namespace sbm {
 namespace {
@@ -369,6 +371,49 @@ TEST(Campaign, KeystreamBitZeroInEveryWordIsStillFound) {
   const campaign::TrialOutcome t = campaign::run_trial(opt, 3, nullptr);
   EXPECT_TRUE(t.key_match) << t.failure;
   EXPECT_TRUE(t.expected);
+}
+
+// Every entry point — the CLI, options_from_json and the service's job spec
+// — applies the one range check, so none accepts what another refuses.
+TEST(CampaignOptions, OneValidatorRejectsEveryOutOfRangeOption) {
+  EXPECT_EQ(campaign::options_error({}), "");
+  campaign::CampaignOptions edge;
+  edge.batch_width = simd::kMaxLanes;
+  edge.fleet_noise_factors = {0.0, 2.0};
+  edge.kind = "crack";
+  EXPECT_EQ(campaign::options_error(edge), "");
+  edge.batch_width = 1;
+  EXPECT_EQ(campaign::options_error(edge), "");
+
+  struct Case {
+    const char* json;  // the same option as a job's "options" object
+    void (*set)(campaign::CampaignOptions&);
+  };
+  const Case cases[] = {
+      {R"({"trials":0})", [](campaign::CampaignOptions& o) { o.trials = 0; }},
+      {R"({"words":0})", [](campaign::CampaignOptions& o) { o.words = 0; }},
+      {R"({"batch_width":0})", [](campaign::CampaignOptions& o) { o.batch_width = 0; }},
+      {R"({"batch_width":513})",
+       [](campaign::CampaignOptions& o) { o.batch_width = simd::kMaxLanes + 1; }},
+      {R"({"fleet_size":0})", [](campaign::CampaignOptions& o) { o.fleet_size = 0; }},
+      {R"({"fleet_noise_factors":[1,-1]})",
+       [](campaign::CampaignOptions& o) { o.fleet_noise_factors = {1.0, -1.0}; }},
+      {R"({"fleet_noise_factors":["x"]})",
+       [](campaign::CampaignOptions& o) { o.fleet_noise_factors = {-1.0}; }},
+      {R"({"kind":"bogus"})", [](campaign::CampaignOptions& o) { o.kind = "bogus"; }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.json);
+    campaign::CampaignOptions o;
+    c.set(o);
+    EXPECT_NE(campaign::options_error(o), "");
+    const auto doc = parse_json(c.json);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_FALSE(campaign::options_from_json(*doc).has_value());
+    const auto job = parse_json(std::string(R"({"mode":"attack","options":)") + c.json + "}");
+    ASSERT_TRUE(job.has_value());
+    EXPECT_FALSE(service::job_spec_from_json(*job).has_value());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -364,9 +364,13 @@ TEST(Cracker, ResumeRePaysZeroSettledProbes) {
   ASSERT_TRUE(first.success) << first.failure;
   const std::vector<SavedProbe> settled = export_probes(first_cache);
   ASSERT_FALSE(settled.empty());
+  // The same checkpoint file the Attack resumes from.
+  const auto file = probes_from_json(probes_to_json(settled));
+  ASSERT_TRUE(file.has_value());
+  EXPECT_EQ(*file, settled);
 
   runtime::ProbeCache resumed_cache;
-  restore_probes(settled, resumed_cache);
+  restore_probes(*file, resumed_cache);
   const CrackResult resumed = crack_victim(sys, nullptr, &resumed_cache);
   ASSERT_TRUE(resumed.success) << resumed.failure;
   EXPECT_EQ(resumed.oracle_runs, 0u);

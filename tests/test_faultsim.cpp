@@ -2,8 +2,9 @@
 // planted key through a noisy oracle with the paper's oracle_runs metric
 // unchanged and the retry/vote overhead reported separately; scripted
 // faults must be absorbed (transients) or contained (device death -> a
-// partial AttackResult with a serializable checkpoint, never a crash and
-// never a wrong key); and the probe cache must never serve a corrupt read.
+// partial AttackResult whose settled probes the caller's cache keeps as the
+// checkpoint, never a crash and never a wrong key); and the probe cache
+// must never serve a corrupt read.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -460,9 +462,10 @@ TEST(NoisyAttack, DeathInEachPhaseYieldsPartialResultWithCheckpoint) {
     // Aim at the middle of the phase's physical window.
     const size_t kill_index = 2 * cum[p] + clean.phase_runs[p].second;
 
+    runtime::ProbeCache cache;
     attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
     FaultyOracle oracle(device, FaultPlan().kill_at(kill_index));
-    const attack::AttackResult res = run_attack(oracle, pair_voting());
+    const attack::AttackResult res = run_attack(oracle, pair_voting(), {}, &cache);
 
     // Contained: a partial result naming the phase, never a wrong key.
     EXPECT_FALSE(res.success);
@@ -473,14 +476,18 @@ TEST(NoisyAttack, DeathInEachPhaseYieldsPartialResultWithCheckpoint) {
     EXPECT_TRUE(oracle.dead());
     EXPECT_EQ(oracle.died_at(), kill_index);
 
-    // The checkpoint records exactly the phases that finished before the
-    // fault, and everything verified so far survives in the result.
-    EXPECT_EQ(res.checkpoint.phase, cases[p].phase);
+    // The phases entered are setup, exactly the phases that finished before
+    // the fault, then the failing phase; everything verified so far
+    // survives in the result.
     ASSERT_LE(cases[p].completed_before, kPipelinePhases.size());
-    EXPECT_EQ(res.checkpoint.completed,
-              std::vector<std::string>(kPipelinePhases.begin(),
-                                       kPipelinePhases.begin() +
-                                           static_cast<long>(cases[p].completed_before)));
+    std::vector<std::string> entered = {"setup"};
+    entered.insert(entered.end(), kPipelinePhases.begin(),
+                   kPipelinePhases.begin() + static_cast<long>(cases[p].completed_before));
+    if (p != 0) entered.emplace_back(cases[p].phase);
+    std::vector<std::string> phase_names;
+    for (const auto& [name, runs] : res.phase_runs) phase_names.push_back(name);
+    EXPECT_EQ(phase_names, entered);
+    EXPECT_EQ(phase_names.back(), cases[p].phase);
     if (cases[p].completed_before >= 1) {
       EXPECT_EQ(res.lut1.size(), 32u);
     }
@@ -491,10 +498,12 @@ TEST(NoisyAttack, DeathInEachPhaseYieldsPartialResultWithCheckpoint) {
       EXPECT_GE(res.feedback.size(), 32u);
     }
 
-    // The checkpoint round-trips through JSON bit-identically.
-    const auto back = attack::AttackCheckpoint::from_json(res.checkpoint.to_json());
+    // The checkpoint — the cache's settled probes — round-trips through
+    // JSON bit-identically.
+    const std::vector<attack::SavedProbe> saved = attack::export_probes(cache);
+    const auto back = attack::probes_from_json(attack::probes_to_json(saved));
     ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, res.checkpoint);
+    EXPECT_EQ(*back, saved);
 
     // Paper-metric honesty even on the aborted run: the logical probes it
     // did spend are a prefix of the clean run's.
@@ -618,7 +627,7 @@ TEST(ProbeCacheGuard, FatalOutcomesAreNeverStored) {
   const attack::AttackResult first = run_attack(oracle, pair_voting(), {}, &cache);
   EXPECT_FALSE(first.success);
   EXPECT_TRUE(first.partial);
-  EXPECT_EQ(first.checkpoint.phase, "setup");
+  EXPECT_EQ(first.failure.rfind("setup", 0), 0u) << first.failure;
 
   attack::DeviceOracle fresh(sys, kHostIv, nullptr, 64);
   const attack::AttackResult second = run_attack(fresh, {}, {}, &cache);
@@ -631,56 +640,62 @@ TEST(ProbeCacheGuard, FatalOutcomesAreNeverStored) {
 
 TEST(AttackCheckpointTest, SettledProbesSurviveDeathAndResumeNeverRepaysThem) {
   // A device death mid-phase leaves every settled, cacheable probe outcome
-  // in the checkpoint; restoring them into the resumed attack's cache means
-  // the dead board's completed work is never re-bought on the replacement
-  // board.
+  // in the caller's cache; exporting it and restoring it into the resumed
+  // attack's cache means the dead board's completed work is never
+  // re-bought on the replacement board.
   const attack::AttackResult& clean = clean_reference();
   const fpga::System& sys = shared_system();
   const size_t setup_misses = clean.phase_runs[0].second;
 
+  runtime::ProbeCache cache;
   attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
   FaultyOracle oracle(device, FaultPlan().kill_at(2 * setup_misses + 100));
-  const attack::AttackResult first = run_attack(oracle, pair_voting());
+  const attack::AttackResult first = run_attack(oracle, pair_voting(), {}, &cache);
   ASSERT_FALSE(first.success);
   ASSERT_TRUE(first.partial);
 
-  const attack::AttackCheckpoint& cp = first.checkpoint;
-  ASSERT_GT(cp.probes.size(), 0u);
-  // The settled probes round-trip through JSON with the rest of the state.
-  const auto back = attack::AttackCheckpoint::from_json(cp.to_json());
+  const std::vector<attack::SavedProbe> cp = attack::export_probes(cache);
+  ASSERT_GT(cp.size(), 0u);
+  // The settled probes round-trip through the checkpoint file.
+  const auto back = attack::probes_from_json(attack::probes_to_json(cp));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, cp);
 
-  // Resume on a fresh board with a cache restored from the checkpoint:
-  // every checkpointed probe is answered from it, everything else is
-  // re-probed — the sum is exactly the clean run's miss/hit split.
+  // Resume on a fresh board with a cache restored from the file: every
+  // checkpointed probe is answered from it, everything else is re-probed —
+  // the sum is exactly the clean run's miss/hit split.
   attack::DeviceOracle fresh(sys, kHostIv, nullptr, 64);
-  const attack::AttackResult resumed = run_attack(fresh, {}, cp.probes);
+  const attack::AttackResult resumed = run_attack(fresh, {}, *back);
   ASSERT_TRUE(resumed.success) << resumed.failure;
   EXPECT_EQ(resumed.secrets.key, sys.options.key);
   EXPECT_EQ(resumed.faulty_keystream, clean.faulty_keystream);
-  EXPECT_EQ(resumed.oracle_runs + cp.probes.size(), clean.oracle_runs);
-  EXPECT_EQ(resumed.cache_hits, clean.cache_hits + cp.probes.size());
+  EXPECT_EQ(resumed.oracle_runs + cp.size(), clean.oracle_runs);
+  EXPECT_EQ(resumed.cache_hits, clean.cache_hits + cp.size());
 }
 
 TEST(AttackCheckpointTest, ChainedResumeKeepsEverySettledProbe) {
-  // Two boards die in a row.  The second run's checkpoint must still carry
-  // what the first board settled (restored into its cache, never re-probed),
-  // so the third run re-pays none of either board's work.
+  // Two boards die in a row.  The second run's export must still carry what
+  // the first board settled (restored into its cache, never re-probed), so
+  // the third run re-pays none of either board's work.
   const attack::AttackResult& clean = clean_reference();
   const fpga::System& sys = shared_system();
-  auto run = [&](std::span<const attack::SavedProbe> resume, FaultPlan plan) {
+  // One board's run through its own cache, restored from `resume` first;
+  // `saved` receives the cache's export afterwards.
+  auto run = [&](std::span<const attack::SavedProbe> resume, FaultPlan plan,
+                 std::vector<attack::SavedProbe>& saved) {
+    runtime::ProbeCache cache;
     attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
     FaultyOracle oracle(device, std::move(plan));
-    return run_attack(oracle, {}, resume);
+    attack::AttackResult res = run_attack(oracle, {}, resume, &cache);
+    saved = attack::export_probes(cache);
+    return res;
   };
 
-  const attack::AttackResult first = run({}, FaultPlan().kill_at(1000));
+  std::vector<attack::SavedProbe> cp1, cp2, cp3;
+  const attack::AttackResult first = run({}, FaultPlan().kill_at(1000), cp1);
   ASSERT_TRUE(first.partial);
-  const std::vector<attack::SavedProbe>& cp1 = first.checkpoint.probes;
-  const attack::AttackResult second = run(cp1, FaultPlan().kill_at(2000));
+  const attack::AttackResult second = run(cp1, FaultPlan().kill_at(2000), cp2);
   ASSERT_TRUE(second.partial);
-  const std::vector<attack::SavedProbe>& cp2 = second.checkpoint.probes;
 
   auto by_key = [](const attack::SavedProbe& a, const attack::SavedProbe& b) {
     return std::tie(a.key_hi, a.key_lo, a.words) < std::tie(b.key_hi, b.key_lo, b.words);
@@ -691,65 +706,133 @@ TEST(AttackCheckpointTest, ChainedResumeKeepsEverySettledProbe) {
   EXPECT_TRUE(std::includes(cp2.begin(), cp2.end(), cp1.begin(), cp1.end(), by_key));
   EXPECT_GT(cp2.size(), cp1.size());
 
-  const attack::AttackResult third = run(cp2, FaultPlan());
+  const attack::AttackResult third = run(cp2, FaultPlan(), cp3);
   ASSERT_TRUE(third.success) << third.failure;
   EXPECT_EQ(third.secrets.key, sys.options.key);
   EXPECT_EQ(third.oracle_runs, clean.oracle_runs - cp2.size());
 }
 
 TEST(AttackCheckpointTest, JsonRoundTripPreservesEveryField) {
-  attack::AttackCheckpoint cp;
-  cp.phase = "feedback";
-  cp.completed = {"z-path", "beta"};
-  cp.load_active_high = false;
+  // One settled value and one persistent rejection; key_hi > 2^53 must
+  // survive JSON losslessly.
+  const std::vector<attack::SavedProbe> probes = {
+      {0xfedcba9876543210ull, 42, 2, false, {0xdeadbeef, 7}}, {1, 0, 2, true, {}}};
 
-  attack::ZPathLut z;
-  z.match.byte_index = 12345;
-  z.match.matched_table = logic::TruthTable6(0xfedcba9876543210ull);
-  z.match.perm = {5, 4, 3, 2, 1, 0};
-  z.match.order = {3, 1, 2, 0};
-  z.bit = 31;
-  z.trio = {7, 9, 11};
-  z.s0_var = 2;
-  cp.lut1.push_back(z);
-
-  attack::FeedbackLut f;
-  f.byte_index = 99;
-  f.order = {0, 2, 1, 3};
-  f.half = 1;
-  f.zero_all = false;
-  f.zero_vars = {1, 4, 5};
-  f.bit = 17;
-  cp.feedback.push_back(f);
-
-  attack::AttackCheckpoint::BetaPatch b;
-  b.byte_index = 777;
-  b.order = {1, 0, 3, 2};
-  b.init = 0xffffffffffffff01ull;  // > 2^53: must survive JSON losslessly
-  cp.beta.push_back(b);
-
-  // One settled value and one persistent rejection.
-  cp.probes = {{0xfedcba9876543210ull, 42, 2, false, {0xdeadbeef, 7}}, {1, 0, 2, true, {}}};
-
-  const auto back = attack::AttackCheckpoint::from_json(cp.to_json());
+  const auto back = attack::probes_from_json(attack::probes_to_json(probes));
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, cp);
-  EXPECT_EQ(back->beta[0].init, 0xffffffffffffff01ull);
+  EXPECT_EQ(*back, probes);
+  EXPECT_EQ((*back)[0].key_hi, 0xfedcba9876543210ull);
 
-  EXPECT_FALSE(attack::AttackCheckpoint::from_json("not json").has_value());
-  EXPECT_FALSE(attack::AttackCheckpoint::from_json("{\"version\": 99}").has_value());
+  EXPECT_FALSE(attack::probes_from_json("not json").has_value());
+  EXPECT_FALSE(attack::probes_from_json("{\"version\": 99}").has_value());
+  EXPECT_FALSE(attack::probes_from_json("{\"version\": 2}").has_value());  // no probes
 
   // A file is outside input: a probe shape the cache could never have
   // stored must not load, since a resume would serve it as a hit.
-  auto parses_with = [&](attack::SavedProbe probe) {
-    attack::AttackCheckpoint one = cp;
-    one.probes = {std::move(probe)};
-    return attack::AttackCheckpoint::from_json(one.to_json()).has_value();
+  auto parses_with = [](attack::SavedProbe probe) {
+    const std::vector<attack::SavedProbe> one = {std::move(probe)};
+    return attack::probes_from_json(attack::probes_to_json(one)).has_value();
   };
   EXPECT_FALSE(parses_with({1, 0, 0, false, {}}));         // words == 0
   EXPECT_FALSE(parses_with({1, 0, 2, false, {1, 2, 3}}));  // value longer than words
   EXPECT_FALSE(parses_with({1, 0, 2, false, {1}}));        // value shorter than words
   EXPECT_FALSE(parses_with({1, 0, 2, true, {1, 2}}));      // rejection with a value
+  EXPECT_FALSE(attack::probes_from_json("{\"version\":2,\"probes\":[7]}"));  // non-object
+  EXPECT_FALSE(attack::probes_from_json(  // missing keystream
+      "{\"version\":2,\"probes\":[{\"key_hi\":1,\"key_lo\":0,\"words\":2,"
+      "\"rejected\":true}]}"));
+}
+
+// A v2 checkpoint file as the earlier AttackCheckpoint::to_json wrote it:
+// the attack's artifacts (phase names, polarity, lut1, beta, feedback)
+// beside the settled probes.  It is the file of a single-shot attack on the
+// shared system whose board died at physical run 5, during z-path.
+constexpr std::string_view kEarlierProbeFile =
+    R"({"version":2,"phase":"z-path","completed":[],"load_active_high":true,)"
+    R"("lut1":[{"byte_index":102,"table":1152921573327376384,"perm":[3,4,5,2,0,1],)"
+    R"("order":[3,2,0,1],"bit":8,"trio":[3,4,5],"s0_var":-1},)"
+    R"({"byte_index":120,"table":1152921573327376384,"perm":[3,4,5,2,0,1],)"
+    R"("order":[0,1,2,3],"bit":7,"trio":[3,4,5],"s0_var":-1},)"
+    R"({"byte_index":140,"table":1152921573327376384,"perm":[3,4,5,2,0,1],)"
+    R"("order":[0,1,2,3],"bit":28,"trio":[3,4,5],"s0_var":-1}],"beta":[],"feedback":[],)"
+    R"("probes":[)"
+    R"({"key_hi":4645580120535706204,"key_lo":3464615204909971992,"words":16,"rejected":false,)"
+    R"("keystream":[2884540164,2059604851,3738972026,3590449482,662592359,2442920795,)"
+    R"(3266436168,1198766718,2900010289,2547271724,382801938,3674359310,3776306467,)"
+    R"(2847862138,1088413053,349061187]},)"
+    R"({"key_hi":5907097236611335635,"key_lo":16387682825139795137,"words":16,"rejected":false,)"
+    R"("keystream":[2884540164,1791169395,3470536570,3322014154,662592487,2174485467,)"
+    R"(3266436168,1198766846,2900010289,2278836268,114366610,3405923982,3776306595,)"
+    R"(2847862266,1088413053,80625731]},)"
+    R"({"key_hi":6596976656105867413,"key_lo":14729707377600174967,"words":16,"rejected":false,)"
+    R"("keystream":[2884540164,2059604851,3738972026,3590449610,662592487,2442920923,)"
+    R"(3266436168,1198766846,2900010289,2547271724,382802066,3674359438,3776306595,)"
+    R"(2847862266,1088413053,349061187]},)"
+    R"({"key_hi":12202953764575527648,"key_lo":12937127089164423259,"words":16,"rejected":false,)"
+    R"("keystream":[2884540164,2059604851,3738972026,3590449610,662592487,2442920923,)"
+    R"(3266436168,1198766846,2900010289,2547271724,382802066,3674359438,3776306595,)"
+    R"(2847862266,1088413053,349061187]},)"
+    R"({"key_hi":16974879428923371395,"key_lo":14606502242671589884,"words":16,"rejected":false,)"
+    R"("keystream":[2884539908,2059604595,3738971770,3590449354,662592231,2442920667,)"
+    R"(3266436168,1198766846,2900010033,2547271724,382802066,3674359438,3776306339,)"
+    R"(2847862010,1088412797,349061187]}]})";
+
+TEST(AttackCheckpointTest, EarlierFileWithArtifactsLoadsAndResumes) {
+  const attack::AttackResult& clean = clean_reference();
+  const fpga::System& sys = shared_system();
+
+  // The artifact keys are ignored: the file loads to exactly the probes
+  // the same board death settles today.
+  const auto loaded = attack::probes_from_json(kEarlierProbeFile);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->size(), 5u);
+  runtime::ProbeCache cache;
+  attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
+  FaultyOracle oracle(device, FaultPlan().kill_at(5));
+  const attack::AttackResult dead = run_attack(oracle, {}, {}, &cache);
+  ASSERT_TRUE(dead.partial);
+  EXPECT_EQ(dead.failure.rfind("z-path", 0), 0u) << dead.failure;
+  EXPECT_EQ(*loaded, attack::export_probes(cache));
+
+  // A resume from the file finishes and re-pays none of its probes.
+  attack::DeviceOracle fresh(sys, kHostIv, nullptr, 64);
+  const attack::AttackResult resumed = run_attack(fresh, {}, *loaded);
+  ASSERT_TRUE(resumed.success) << resumed.failure;
+  EXPECT_EQ(resumed.secrets.key, sys.options.key);
+  EXPECT_EQ(resumed.oracle_runs + loaded->size(), clean.oracle_runs);
+  EXPECT_EQ(resumed.cache_hits, clean.cache_hits + loaded->size());
+}
+
+TEST(AttackCheckpointTest, MutatedFilesParseOnlyToValidProbes) {
+  // Seeded sweep over a small valid file: every prefix, and every byte
+  // replaced by a few values.  Each input either fails to parse or yields
+  // probes of a shape the cache could have stored; nothing crashes.
+  const std::vector<attack::SavedProbe> probes = {
+      {0xfedcba9876543210ull, 42, 2, false, {0xdeadbeef, 7}}, {1, 0, 3, true, {}}};
+  const std::string file = attack::probes_to_json(probes);
+  ASSERT_TRUE(attack::probes_from_json(file).has_value());
+
+  size_t parsed = 0;
+  auto check = [&parsed](const std::string& input) {
+    const auto back = attack::probes_from_json(input);
+    if (!back) return;
+    ++parsed;
+    for (const attack::SavedProbe& p : *back) {
+      EXPECT_NE(p.words, 0u) << input;
+      EXPECT_EQ(p.keystream.size(), p.rejected ? 0u : p.words) << input;
+    }
+  };
+  for (size_t len = 0; len < file.size(); ++len) check(file.substr(0, len));
+  Rng rng(0xc4ec4b01u);
+  for (size_t pos = 0; pos < file.size(); ++pos) {
+    for (const char c : {'0', '9', '"', ',', ']', '}', static_cast<char>(rng.next_u32())}) {
+      std::string mutated = file;
+      mutated[pos] = c;
+      check(mutated);
+    }
+  }
+  // Some mutations (a digit inside a key or a keystream word) stay valid.
+  EXPECT_GT(parsed, 0u);
 }
 
 }  // namespace

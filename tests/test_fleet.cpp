@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/pipeline.h"
@@ -260,9 +261,11 @@ TEST(FleetOracleTest, LogicalResultIsInvariantUnderSchedulingRotation) {
   const attack::AttackResult& clean = clean_reference();
   const fpga::System& sys = shared_system();
 
-  auto run_with_start = [&](unsigned start_board) {
+  // Boards serve in index order, so which board is doomed decides whether
+  // the fleet ever serves it.
+  auto run_with_doomed = [&](unsigned doomed) {
     FleetOptions opt = board0_dies(4);
-    opt.start_board = start_board;
+    std::swap(opt.noise_factors[0], opt.noise_factors[doomed]);
     FleetOracle fleetd(sys, kHostIv, opt, nullptr, 64);
     runtime::ProbeCache cache;
     attack::PipelineConfig cfg;
@@ -273,11 +276,11 @@ TEST(FleetOracleTest, LogicalResultIsInvariantUnderSchedulingRotation) {
     return attack.execute();
   };
 
-  // start_board 0 serves the doomed board first and must migrate;
-  // start_board 1 never touches it.  The logical result is identical, only
-  // the physical migration ledger differs.
-  const attack::AttackResult doomed_first = run_with_start(0);
-  const attack::AttackResult doomed_skipped = run_with_start(1);
+  // A doomed board 0 is served first and must migrate; a doomed board 1 is
+  // never touched.  The logical result is identical, only the physical
+  // migration ledger differs.
+  const attack::AttackResult doomed_first = run_with_doomed(0);
+  const attack::AttackResult doomed_skipped = run_with_doomed(1);
 
   ASSERT_TRUE(doomed_first.success) << doomed_first.failure;
   ASSERT_TRUE(doomed_skipped.success) << doomed_skipped.failure;
