@@ -23,7 +23,6 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
-#include "runtime/probe_cache.h"
 #include "runtime/thread_pool.h"
 #include "simd/backend.h"
 
@@ -43,14 +42,11 @@ const fpga::System& system_instance() {
   return sys;
 }
 
-AttackResult run_once(bool cached, runtime::ThreadPool* pool, unsigned batch_width,
-                      double* wall_seconds) {
+AttackResult run_once(runtime::ThreadPool* pool, unsigned batch_width, double* wall_seconds) {
   const fpga::System& sys = system_instance();
   DeviceOracle oracle(sys, kIv, pool, batch_width);
-  runtime::ProbeCache cache;
   PipelineConfig cfg;
   cfg.iv = kIv;
-  if (cached) cfg.cache = &cache;
   cfg.find.pool = pool;
   const auto start = std::chrono::steady_clock::now();
   Attack attack(oracle, sys.golden.bytes, cfg);
@@ -78,10 +74,8 @@ NoisyRun run_noisy(runtime::ControllerKind controller, const faultsim::NoiseProf
   const fpga::System& sys = system_instance();
   DeviceOracle device(sys, kIv, nullptr, 64);
   faultsim::FaultyOracle oracle(device, profile);
-  runtime::ProbeCache cache;
   PipelineConfig cfg;
   cfg.iv = kIv;
-  cfg.cache = &cache;
   cfg.retry = runtime::RetryPolicy::voting(3);
   cfg.controller = controller;
   if (controller == runtime::ControllerKind::kAdaptive) {
@@ -139,10 +133,8 @@ FleetRun run_fleet(unsigned boards, bool hedge) {
   fleet::FleetOptions opt = deathmatch_options(boards);
   opt.hedge = hedge;
   fleet::FleetOracle oracle(sys, kIv, opt, nullptr, 64);
-  runtime::ProbeCache cache;
   PipelineConfig cfg;
   cfg.iv = kIv;
-  cfg.cache = &cache;
   cfg.retry = runtime::RetryPolicy::voting(1);
   const obs::Mode saved = obs::mode();
   obs::set_mode(obs::Mode::kMetrics);
@@ -180,9 +172,7 @@ CrackRun run_crack(bool equalized) {
   opt.equalized = equalized;
   const fpga::System sys = fpga::build_system(opt);
   DeviceOracle oracle(sys, kIv, nullptr, 64);
-  runtime::ProbeCache cache;
   CrackerConfig cfg;
-  cfg.cache = &cache;
   CrackRun run;
   const auto start = std::chrono::steady_clock::now();
   Cracker cracker(oracle, sys.golden.bytes, cfg);
@@ -199,14 +189,16 @@ void print_cost_breakdown() {
   const obs::Mode saved_mode = obs::mode();
   obs::set_mode(obs::Mode::kOff);
 
-  // Plain single-threaded uncached scalar run: the paper-faithful cost
-  // metric (batch width 1 = one reconfiguration per probe, no bit-slicing)...
+  // Plain single-threaded scalar run, the reference every other
+  // configuration must reproduce (batch width 1 = one reconfiguration per
+  // oracle run, no bit-slicing)...
   double wall_plain = 0;
-  const AttackResult plain = run_once(false, nullptr, 1, &wall_plain);
+  const AttackResult plain = run_once(nullptr, 1, &wall_plain);
   std::printf("=== End-to-end attack cost ===\n");
   std::printf("success: %s, key confirmed: %s\n", plain.success ? "yes" : "no",
               plain.key_confirmed ? "yes" : "no");
-  std::printf("oracle reconfigurations: %zu total\n", plain.oracle_runs);
+  std::printf("oracle reconfigurations: %zu true runs + %zu cache hits (%zu probe calls)\n",
+              plain.oracle_runs, plain.cache_hits, plain.probe_calls);
   for (const auto& [phase, runs] : plain.phase_runs) {
     std::printf("  %-10s %6zu\n", phase.c_str(), runs);
   }
@@ -218,11 +210,11 @@ void print_cost_breakdown() {
   const simd::Backend active = simd::active_backend();
   double wall_runtime_1t = 0;
   const AttackResult batched_1t =
-      run_once(true, nullptr, simd::kMaxLanes, &wall_runtime_1t);
+      run_once(nullptr, simd::kMaxLanes, &wall_runtime_1t);
   // ...and the full production configuration (cache + batches + pool).
   double wall_runtime = 0;
   const AttackResult cached =
-      run_once(true, &runtime::ThreadPool::global(), simd::kMaxLanes, &wall_runtime);
+      run_once(&runtime::ThreadPool::global(), simd::kMaxLanes, &wall_runtime);
   std::printf("with probe cache + %s batches: %zu true runs + %zu cache hits\n",
               simd::backend_name(active), cached.oracle_runs, cached.cache_hits);
   std::printf("wall: %.2fs plain, %.2fs batched 1 thread, %.2fs batched %u threads\n",
@@ -232,7 +224,9 @@ void print_cost_breakdown() {
                    plain.faulty_keystream == cached.faulty_keystream &&
                    plain.secrets.key == cached.secrets.key &&
                    batched_1t.faulty_keystream == cached.faulty_keystream &&
-                   batched_1t.oracle_runs == cached.oracle_runs;
+                   batched_1t.oracle_runs == cached.oracle_runs &&
+                   plain.oracle_runs == cached.oracle_runs &&
+                   plain.cache_hits == cached.cache_hits;
 
   // The runtime_1t configuration once per usable SIMD backend: the wall
   // clocks are the per-backend perf record, and results_identical covers the
@@ -249,7 +243,7 @@ void print_cost_breakdown() {
     if (!simd::compiled(b) || !simd::host_supports(b)) continue;
     simd::ScopedBackend scoped(b);
     BackendRun run{b, 0, {}};
-    run.res = run_once(true, nullptr, simd::kMaxLanes, &run.wall);
+    run.res = run_once(nullptr, simd::kMaxLanes, &run.wall);
     std::printf("backend %-7s: %.2fs batched 1 thread, %zu true runs + %zu cache hits\n",
                 simd::backend_name(b), run.wall, run.res.oracle_runs, run.res.cache_hits);
     identical = identical && run.res.success &&
@@ -340,7 +334,7 @@ void print_cost_breakdown() {
   // oracle_runs count demonstrates observability does not perturb the attack.
   obs::set_mode(obs::Mode::kAll);
   double wall_obs = 0;
-  const AttackResult observed = run_once(true, nullptr, 64, &wall_obs);
+  const AttackResult observed = run_once(nullptr, 64, &wall_obs);
   const size_t trace_events = obs::Tracer::global().event_count();
   std::printf("obs on (trace+metrics): %zu true runs, %zu trace events (%.2fs)\n\n",
               observed.oracle_runs, trace_events, wall_obs);
@@ -502,7 +496,7 @@ int run_fleet_smoke() {
   const obs::Mode saved = obs::mode();
   obs::set_mode(obs::Mode::kOff);  // run_fleet switches to kMetrics itself
   double wall_clean = 0;
-  const AttackResult clean = run_once(true, nullptr, 64, &wall_clean);
+  const AttackResult clean = run_once(nullptr, 64, &wall_clean);
   const FleetRun single = run_fleet(1, false);
   const FleetRun fleet = run_fleet(4, /*hedge=*/false);
   const FleetRun hedged = run_fleet(4, /*hedge=*/true);

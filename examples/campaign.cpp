@@ -9,10 +9,13 @@
 // k-th trial the Section VII protected variant, which the attack is expected
 // to *fail* against).  The report is identical for any --threads value
 // except the wall-clock fields.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "campaign/campaign.h"
 #include "obs/metrics.h"
@@ -39,7 +42,6 @@ void usage(const char* argv0) {
       "  --words W            keystream words per probe (default 16)\n"
       "  --batch-width W      oracle probes packed per bit-sliced batch, 1-512; clamped\n"
       "                       at runtime to the active SIMD backend's width (default 512)\n"
-      "  --no-cache           disable the probe cache\n"
       "  --noise PROFILE      unreliable-hardware model: none|mild|harsh, optional @seed\n"
       "                       suffix (e.g. mild@0x123); probes are then confirmed by\n"
       "                       agreement voting, overhead reported per trial\n"
@@ -86,24 +88,37 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A count that is negative, not a number or wider than its field exits 2
+    // here: strtoull alone would wrap -1 to 2^64-1.
+    auto count = [&](auto& out) {
+      using Field = std::remove_reference_t<decltype(out)>;
+      const char* s = next();
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long long n = std::strtoull(s, &end, 0);
+      if (end == s || *end != '\0' || std::strchr(s, '-') != nullptr || errno == ERANGE ||
+          n > std::numeric_limits<Field>::max()) {
+        std::fprintf(stderr, "%s wants a non-negative integer, got '%s'\n", arg.c_str(), s);
+        std::exit(2);
+      }
+      out = static_cast<Field>(n);
+    };
     if (arg == "--trials") {
-      opt.trials = static_cast<size_t>(std::strtoull(next(), nullptr, 0));
+      count(opt.trials);
     } else if (arg == "--threads") {
-      opt.threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
+      count(opt.threads);
     } else if (arg == "--seed") {
       opt.seed = std::strtoull(next(), nullptr, 0);
     } else if (arg == "--protected-every") {
-      opt.protected_every = static_cast<size_t>(std::strtoull(next(), nullptr, 0));
+      count(opt.protected_every);
     } else if (arg == "--crack") {
       opt.kind = "crack";
     } else if (arg == "--equalized") {
       opt.equalized = true;
     } else if (arg == "--words") {
-      opt.words = static_cast<size_t>(std::strtoull(next(), nullptr, 0));
+      count(opt.words);
     } else if (arg == "--batch-width") {
-      opt.batch_width = static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
-    } else if (arg == "--no-cache") {
-      opt.use_probe_cache = false;
+      count(opt.batch_width);
     } else if (arg == "--noise") {
       const char* spec = next();
       const auto profile = faultsim::NoiseProfile::named(spec);
@@ -116,7 +131,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--death") {
       opt.noise.death = std::strtod(next(), nullptr);
     } else if (arg == "--fleet") {
-      opt.fleet_size = static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
+      count(opt.fleet_size);
     } else if (arg == "--fleet-factors") {
       opt.fleet_noise_factors.clear();
       const char* s = next();

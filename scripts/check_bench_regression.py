@@ -58,12 +58,13 @@ def load(path):
 
 # Retry-overhead budget for the fault-tolerant configuration: the noisy
 # attack (mild noise + agreement voting) may spend at most this multiple of
-# the clean uncached run's oracle reconfigurations on physical probe work.
+# the clean run's probe calls (what it would reconfigure without the probe
+# cache) on physical probe work.
 NOISY_OVERHEAD_FACTOR = 3
 
 # The adaptive sequential-test controller's reason to exist is a tighter
-# physical-run ceiling on the same noisy board: at most 2x the clean
-# uncached run's probe work where the static 3-vote needs ~2.6x.
+# physical-run ceiling on the same noisy board: at most 2x the clean run's
+# probe calls where the static 3-vote needs ~2.6x.
 ADAPTIVE_OVERHEAD_FACTOR = 2.0
 
 # Disabled-observability guarantee (DESIGN.md §4g): with SBM_OBS off, the
@@ -127,10 +128,11 @@ def check_attack_e2e(fresh, baseline):
                   f"{clean_runs} (the paper metric moved under noise)")
             ok = False
         # Retry/vote overhead budget, measured against the clean run's total
-        # probe work (the plain configuration's reconfiguration count).  The
+        # probe work (runtime_1t's probe calls: cache hits included, so the
+        # base is what the run would reconfigure without the cache).  The
         # adaptive controller gets the tight 2x ceiling — that ceiling is the
         # controller's reason to exist.
-        probe_work = fresh.get("plain", {}).get("oracle_runs")
+        probe_work = fresh.get("runtime_1t", {}).get("probe_calls")
         physical = noisy.get("physical_runs")
         if probe_work is not None and physical is not None:
             budget = factor * probe_work

@@ -7,7 +7,6 @@
 
 #include "bitstream/patcher.h"
 #include "obs/trace.h"
-#include "runtime/probe_cache.h"
 
 namespace sbm::attack {
 

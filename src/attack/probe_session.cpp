@@ -13,7 +13,6 @@
 #include "common/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/probe_cache.h"
 
 namespace sbm::attack {
 
@@ -42,6 +41,7 @@ std::vector<u32> model_reference(snow3g::FaultConfig faults, size_t words) {
 ProbeSession::ProbeSession(Oracle& oracle, const ProbeSessionConfig& config)
     : oracle_(oracle),
       config_(config),
+      cache_(config.cache != nullptr ? *config.cache : owned_cache_),
       controller_(runtime::make_controller(config.controller, config.retry, config.adaptive)),
       initial_runs_(oracle.runs()),
       initial_internal_runs_(oracle.internal_runs()) {}
@@ -162,12 +162,6 @@ std::vector<ProbeOutcome> ProbeSession::probe_batch(std::span<const std::vector<
       obs::MetricsRegistry::global().histogram("attack.probe_batch_size");
   batch_size.observe(batch.size());
   ledger_.probe_calls += batch.size();
-  if (config_.cache == nullptr) {
-    ledger_.oracle_runs += batch.size();
-    auto out = confirm_batch(batch);
-    for (auto& o : out) o = finalize(std::move(o));
-    return out;
-  }
 
   // Cache-aware batching, equivalent to probing the elements in order: each
   // element does exactly one cache lookup; the unique misses run as one
@@ -187,9 +181,9 @@ std::vector<ProbeOutcome> ProbeSession::probe_batch(std::span<const std::vector<
       dups.push_back(i);  // lookup deferred until after the miss is stored
       continue;
     }
-    if (auto cached = config_.cache->lookup(keys[i])) {
+    if (const ProbeOutcome* cached = cache_.find(keys[i])) {
       ++ledger_.cache_hits;
-      out[i] = ProbeOutcome(std::move(*cached));
+      out[i] = *cached;
       continue;
     }
     first_miss.try_emplace(keys[i], i);
@@ -200,16 +194,14 @@ std::vector<ProbeOutcome> ProbeSession::probe_batch(std::span<const std::vector<
     ledger_.oracle_runs += misses.size();
     auto results = confirm_batch(misses);
     for (size_t k = 0; k < misses.size(); ++k) {
-      if (cacheable(results[k])) {
-        config_.cache->store(keys[miss_index[k]], results[k].to_optional());
-      }
+      if (cacheable(results[k])) cache_.store(keys[miss_index[k]], results[k]);
       out[miss_index[k]] = finalize(std::move(results[k]));
     }
   }
   for (const size_t i : dups) {
-    if (auto cached = config_.cache->lookup(keys[i])) {
+    if (const ProbeOutcome* cached = cache_.find(keys[i])) {
       ++ledger_.cache_hits;
-      out[i] = ProbeOutcome(std::move(*cached));
+      out[i] = *cached;
     } else {
       // The first occurrence ended in an uncacheable (fatal) outcome; the
       // duplicate shares it without pretending a cache hit happened.
@@ -235,8 +227,8 @@ std::vector<u8> ProbeSession::with_patches(const std::vector<u8>& base,
 
 std::vector<SavedProbe> export_probes(const runtime::ProbeCache& cache) {
   std::vector<SavedProbe> probes;
-  cache.for_each([&](const runtime::ProbeKey& key, const runtime::ProbeResult& result) {
-    probes.push_back({key.hi, key.lo, key.words, !result, result.value_or(std::vector<u32>{})});
+  cache.for_each([&](const runtime::ProbeKey& key, const ProbeOutcome& outcome) {
+    probes.push_back({key.hi, key.lo, key.words, !outcome.ok(), outcome.value()});
   });
   std::sort(probes.begin(), probes.end(), [](const SavedProbe& a, const SavedProbe& b) {
     return std::tie(a.key_hi, a.key_lo, a.words) < std::tie(b.key_hi, b.key_lo, b.words);
@@ -247,7 +239,7 @@ std::vector<SavedProbe> export_probes(const runtime::ProbeCache& cache) {
 void restore_probes(std::span<const SavedProbe> probes, runtime::ProbeCache& cache) {
   for (const SavedProbe& p : probes) {
     cache.store(runtime::ProbeKey{p.key_hi, p.key_lo, p.words},
-                p.rejected ? runtime::ProbeResult{} : runtime::ProbeResult(p.keystream));
+                p.rejected ? ProbeOutcome(ProbeError::kRejected) : ProbeOutcome(p.keystream));
   }
 }
 

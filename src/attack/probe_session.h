@@ -2,17 +2,20 @@
 // every oracle-guided engine (the key-recovery Attack, the countermeasure
 // Cracker) shares one implementation of the logical-probe contract:
 //
-//   * cache lookup first — byte-identical patched bitstreams skip the
-//     reconfiguration and never count toward the paper's cost metric;
+//   * cache lookup first, always — byte-identical patched bitstreams skip
+//     the reconfiguration and never count toward the paper's cost metric
+//     (an attacker never reflashes the same image twice; probe_calls in the
+//     ledger is what a run without the lookup would pay);
 //   * a confirmed read per cache miss — the configured ProbeController
 //     (static r-vote or adaptive sequential test) decides when a probe's
 //     outcome is settled, and the FIFO refill scheduler packs every
 //     demanded physical read into full bit-sliced oracle chunks;
 //   * poisoning guard — only confirmed values and persistent rejections
 //     enter the cache, which is therefore the one record of settled
-//     probes and the checkpoint of every engine: the caller exports it
-//     (export_probes) and a resume restores it (restore_probes), so a
-//     resumed run never re-pays probes a dead board already answered.
+//     probes.  The session owns one unless the caller passes its own;
+//     the caller's cache is the checkpoint of every engine: the caller
+//     exports it (export_probes) and a resume restores it (restore_probes),
+//     so a resumed run never re-pays probes a dead board already answered.
 //
 // Accounting is the contract of DESIGN.md §4f: the session fills one
 // runtime::RunLedger, whose oracle_runs counts logical probes only (noise-
@@ -30,13 +33,10 @@
 
 #include "attack/findlut.h"
 #include "attack/oracle.h"
+#include "runtime/probe_cache.h"
 #include "runtime/probe_controller.h"
 #include "runtime/retry.h"
 #include "snow3g/snow3g.h"
-
-namespace sbm::runtime {
-class ProbeCache;
-}
 
 namespace sbm::attack {
 
@@ -89,10 +89,12 @@ struct ProbeSessionConfig {
   /// results are identical for any thread count (see src/runtime/parallel.h).
   /// with_patches writes LUT sub-vectors at `find.offset_d`.
   FindLutOptions find;
-  /// Optional probe cache: byte-identical patched bitstreams skip the
-  /// simulated reconfiguration.  Hits never count toward oracle_runs, and
-  /// only confirmed results (agreement-voted values, persistent rejections)
-  /// are ever stored, so a corrupt first read cannot poison later hits.
+  /// The caller's probe cache, kept across runs as their checkpoint; null =
+  /// the session uses one it owns.  Either way every probe is looked up
+  /// first and byte-identical patched bitstreams skip the simulated
+  /// reconfiguration.  Hits never count toward oracle_runs, and only
+  /// confirmed results (agreement-voted values, persistent rejections) are
+  /// ever stored, so a corrupt first read cannot poison later hits.
   runtime::ProbeCache* cache = nullptr;
   /// Retry/vote budget per logical probe.  The default is single-shot (no
   /// overhead); use runtime::RetryPolicy::voting() against flaky hardware.
@@ -144,6 +146,9 @@ class ProbeSession {
 
   Oracle& oracle_;
   ProbeSessionConfig config_;
+  /// Used when config.cache is null; cache_ is config.cache or this.
+  runtime::ProbeCache owned_cache_;
+  runtime::ProbeCache& cache_;
   /// Per-session confirmation controller: its state (including the adaptive
   /// noise estimate) is instance-local and mutated only on the calling
   /// thread, keeping controller decisions a pure function of the read

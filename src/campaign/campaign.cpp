@@ -14,7 +14,6 @@
 #include "fpga/system.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/probe_cache.h"
 #include "runtime/thread_pool.h"
 #include "simd/backend.h"
 
@@ -22,8 +21,13 @@ namespace sbm::campaign {
 
 std::string options_error(const CampaignOptions& options) {
   if (options.kind != "attack" && options.kind != "crack") return "kind must be attack or crack";
-  if (options.trials == 0) return "trials must be >= 1";
-  if (options.words == 0) return "words must be >= 1";
+  if (options.trials == 0 || options.trials > kMaxTrials) {
+    return "trials must be 1-" + std::to_string(kMaxTrials);
+  }
+  if (options.words == 0 || options.words > kMaxWords) {
+    return "words must be 1-" + std::to_string(kMaxWords);
+  }
+  if (options.threads > kMaxThreads) return "threads must be 0-" + std::to_string(kMaxThreads);
   if (options.batch_width == 0 || options.batch_width > simd::kMaxLanes) {
     return "batch_width must be 1-" + std::to_string(simd::kMaxLanes);
   }
@@ -86,13 +90,11 @@ TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::Th
       fleet ? static_cast<attack::Oracle&>(*fleet)
             : (noisy ? static_cast<attack::Oracle&>(faulty) : device);
 
-  runtime::ProbeCache cache;
   // Shared probe-layer policy for both trial kinds.  A fleet needs a
   // retrying policy even under quiet noise: migration is driven by the retry
   // layer re-demanding the timeouts a dying board left.
   attack::ProbeSessionConfig policy;
   policy.words = options.words;
-  if (options.use_probe_cache) policy.cache = &cache;
   policy.find.pool = pool;
   if (noisy) {
     policy.retry = runtime::RetryPolicy::voting(3);

@@ -18,6 +18,10 @@
 // contract — including across checkpoint/resume — and is enforced by
 // tests/test_campaign.cpp.
 //
+// Cost: each trial's probe session owns its probe cache, so a trial never
+// reconfigures a byte-identical image twice; its oracle_runs is the
+// paper's reflash count and probe_calls what it would pay uncached.
+//
 // Fault tolerance (DESIGN.md §4f): a non-quiet `noise` profile wraps every
 // trial's device in a FaultyOracle and upgrades the pipeline to voting
 // probes; `checkpoint_path` persists completed trials after each finish so a
@@ -67,9 +71,6 @@ struct CampaignOptions {
   bool equalized = false;
   /// Keystream words per probe (the paper's w).
   size_t words = 16;
-  /// Per-trial probe cache (identical patched bitstreams skip the simulated
-  /// reconfiguration; hits reported separately from true oracle runs).
-  bool use_probe_cache = true;
   /// Lanes per bit-sliced oracle batch (1..512, clamped at runtime to the
   /// active SIMD backend's width — 64 scalar, 256 AVX2, 512 AVX-512).  1
   /// selects the scalar reference path; any width and any backend yield
@@ -217,11 +218,21 @@ constexpr bool is_protected_trial(const CampaignOptions& options, size_t index) 
          index % options.protected_every == options.protected_every - 1;
 }
 
+/// Upper bounds of options_error.  A run allocates per-trial state up
+/// front, every probe carries `words` keystream words, and the pool starts
+/// `threads` OS threads, so an absurd count must fail validation instead of
+/// an allocation or thread start.  Every committed workload sits far below
+/// them (the largest runs are tens of trials at w = 16 on a few threads).
+inline constexpr size_t kMaxTrials = size_t{1} << 20;
+inline constexpr size_t kMaxWords = 1024;
+inline constexpr unsigned kMaxThreads = 1024;
+
 /// The range checks every entry point applies to CampaignOptions (the
 /// campaign CLI, options_from_json and so the service's job spec): empty
-/// when the options are runnable, else what is wrong with them — trials,
-/// words and fleet_size >= 1, batch_width in 1..simd::kMaxLanes, every
-/// fleet noise factor >= 0, kind "attack" or "crack".
+/// when the options are runnable, else what is wrong with them — trials in
+/// 1..kMaxTrials, words in 1..kMaxWords, threads in 0..kMaxThreads,
+/// fleet_size >= 1, batch_width in 1..simd::kMaxLanes, every fleet noise
+/// factor >= 0, kind "attack" or "crack".
 std::string options_error(const CampaignOptions& options);
 
 /// Runs one trial (exposed for tests).  `pool` may be null (serial scans).

@@ -1,10 +1,11 @@
 #include "campaign/checkpoint.h"
 
 #include <bit>
+#include <limits>
+#include <type_traits>
 
 #include "common/fsio.h"
 #include "common/json.h"
-#include "simd/backend.h"
 
 namespace sbm::campaign {
 
@@ -36,7 +37,7 @@ u64 options_signature(const CampaignOptions& options) {
   for (const char c : options.kind) fold(static_cast<u64>(static_cast<unsigned char>(c)));
   fold(options.equalized ? 1 : 2);
   fold(options.words);
-  fold(options.use_probe_cache ? 1 : 2);
+  fold(1);  // the probe cache, now always on: keeps every default-options v4 signature
   fold(std::bit_cast<u64>(options.noise.transient_reject));
   fold(std::bit_cast<u64>(options.noise.bit_flip));
   fold(std::bit_cast<u64>(options.noise.truncate));
@@ -136,7 +137,6 @@ void write_options(JsonWriter& w, const CampaignOptions& options) {
       .field("kind", options.kind)
       .field("equalized", options.equalized)
       .field("words", options.words)
-      .field("use_probe_cache", options.use_probe_cache)
       // Trials always share the pool with their FINDLUT scans; the key
       // stays so readers of earlier reports find it.
       .field("scan_parallel", true)
@@ -166,26 +166,36 @@ void write_options(JsonWriter& w, const CampaignOptions& options) {
 std::optional<CampaignOptions> options_from_json(const JsonValue& v) {
   if (!v.is_object()) return std::nullopt;
   CampaignOptions o;
-  auto get_size = [&](const char* name, size_t& out) {
-    if (const JsonValue* f = v.find(name)) out = static_cast<size_t>(f->as_u64());
+  // A count that is not a non-negative integer, or does not fit its field,
+  // makes the spec malformed instead of wrapping (-1) or truncating (a
+  // fleet_size of 2^32 + 2 is not 2).
+  bool bad_count = false;
+  auto get_count = [&](const char* name, auto& out) {
+    using Field = std::remove_reference_t<decltype(out)>;
+    constexpr u64 kNotACount = ~u64{0};
+    const JsonValue* f = v.find(name);
+    if (f == nullptr) return;
+    const u64 n = f->as_u64(kNotACount);
+    if (n == kNotACount || n > std::numeric_limits<Field>::max()) {
+      bad_count = true;
+    } else {
+      out = static_cast<Field>(n);
+    }
   };
-  get_size("trials", o.trials);
-  if (const JsonValue* f = v.find("threads")) o.threads = static_cast<unsigned>(f->as_u64());
+  get_count("trials", o.trials);
+  get_count("threads", o.threads);
   if (const JsonValue* f = v.find("seed")) o.seed = f->as_u64();
-  get_size("protected_every", o.protected_every);
+  get_count("protected_every", o.protected_every);
   if (const JsonValue* f = v.find("kind")) o.kind = f->as_string();
   if (const JsonValue* f = v.find("equalized")) o.equalized = f->as_bool();
-  get_size("words", o.words);
-  if (const JsonValue* f = v.find("use_probe_cache")) o.use_probe_cache = f->as_bool(true);
-  if (const JsonValue* f = v.find("batch_width")) {
-    o.batch_width = static_cast<unsigned>(f->as_u64(simd::kMaxLanes));
-  }
+  get_count("words", o.words);
+  get_count("batch_width", o.batch_width);
   if (const JsonValue* f = v.find("controller")) {
     const auto kind = runtime::parse_controller_kind(f->as_string());
     if (!kind) return std::nullopt;  // service job validation rejects with 400
     o.controller = *kind;
   }
-  if (const JsonValue* f = v.find("fleet_size")) o.fleet_size = static_cast<unsigned>(f->as_u64(1));
+  get_count("fleet_size", o.fleet_size);
   if (const JsonValue* f = v.find("fleet_hedge")) o.fleet_hedge = f->as_bool();
   if (const JsonValue* f = v.find("fleet_noise_factors")) {
     if (!f->is_array()) return std::nullopt;
@@ -217,7 +227,7 @@ std::optional<CampaignOptions> options_from_json(const JsonValue& v) {
     }
   }
   // Out-of-range options are malformed specs: the service answers 400.
-  if (!options_error(o).empty()) return std::nullopt;
+  if (bad_count || !options_error(o).empty()) return std::nullopt;
   return o;
 }
 

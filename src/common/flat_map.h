@@ -2,8 +2,8 @@
 //
 // std::unordered_map costs one heap node and at least two dependent cache
 // misses per probe; the structures on the attack's hot paths (the probe
-// cache shards, the pattern-index dedup sets) only ever need insert, find
-// and clear.  FlatMap keeps keys and values in two flat arrays with linear
+// cache, the pattern-index dedup sets) only ever need insert, find and
+// clear.  FlatMap keeps keys and values in two flat arrays with linear
 // probing over a power-of-two capacity — one predictable memory stream per
 // lookup — and clear() keeps the allocation, so per-candidate reuse does not
 // churn the allocator.

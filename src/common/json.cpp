@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -134,8 +135,12 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 }
 
 u64 JsonValue::as_u64(u64 fallback) const {
-  if (kind != Kind::kNumber) return fallback;
-  return std::strtoull(number.c_str(), nullptr, 10);
+  // strtoull would wrap "-1" to 2^64-1 and stop at the '.' of "1.5".
+  if (kind != Kind::kNumber || number.empty() || number[0] == '-') return fallback;
+  errno = 0;
+  char* end = nullptr;
+  const u64 v = std::strtoull(number.c_str(), &end, 10);
+  return *end != '\0' || errno == ERANGE ? fallback : v;
 }
 
 double JsonValue::as_double(double fallback) const {

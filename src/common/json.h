@@ -84,7 +84,9 @@ struct JsonValue {
   /// Member lookup on objects; nullptr when absent or not an object.
   const JsonValue* find(std::string_view key) const;
 
-  /// Typed accessors; return the fallback on kind mismatch.
+  /// Typed accessors; return the fallback on kind mismatch.  as_u64 also
+  /// returns it for a number that is not a u64: negative, fractional,
+  /// exponent-form or out of range (no wrap, no truncation).
   u64 as_u64(u64 fallback = 0) const;
   double as_double(double fallback = 0) const;
   bool as_bool(bool fallback = false) const;

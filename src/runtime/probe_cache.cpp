@@ -3,24 +3,9 @@
 #include <bit>
 #include <cstring>
 
-#include "obs/metrics.h"
-
 namespace sbm::runtime {
 
 namespace {
-
-// Process-wide counters across every cache instance (trials own private
-// caches; the registry view aggregates them).  Per-instance hits_/misses_
-// stay the deterministic per-attack record.
-obs::Counter& hit_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter("probe_cache.hits");
-  return c;
-}
-
-obs::Counter& miss_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter("probe_cache.misses");
-  return c;
-}
 
 // Reads an 8-byte little-endian chunk.  One memcpy (a plain load on every
 // target this builds for) instead of eight byte shifts — make_probe_key runs
@@ -56,48 +41,6 @@ ProbeKey make_probe_key(std::span<const u8> bitstream, size_t words) {
   h0 = mix64(h0 ^ tail);
   h1 = mix64(h1 + tail * 0x2545f4914f6cdd1dull);
   return {h0, h1, words};
-}
-
-ProbeCache::ProbeCache(size_t shards) : shards_(shards == 0 ? 1 : shards) {}
-
-std::optional<ProbeResult> ProbeCache::lookup(const ProbeKey& key) {
-  Shard& shard = shard_of(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const ProbeResult* slot = shard.map.find(key);
-  if (slot == nullptr) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    miss_counter().add();
-    return std::nullopt;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  hit_counter().add();
-  return *slot;
-}
-
-void ProbeCache::store(const ProbeKey& key, ProbeResult result) {
-  static obs::Counter& stores = obs::MetricsRegistry::global().counter("probe_cache.stores");
-  stores.add();
-  Shard& shard = shard_of(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.map.try_emplace(key, std::move(result));
-}
-
-size_t ProbeCache::entries() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.map.size();
-  }
-  return total;
-}
-
-void ProbeCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.map.clear();
-  }
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace sbm::runtime

@@ -1,30 +1,32 @@
-// Sharded cache for fault-injection probes.
+// The record of settled fault-injection probes.
 //
 // The attack pipeline's cost unit is one oracle run = one simulated device
 // reconfiguration.  Several pipeline stages re-derive byte-identical patched
 // bitstreams (e.g. a half-table rewrite that equals the whole-table rewrite,
-// or a replayed verification probe); caching the keystream per *patched
-// bitstream content* skips the reconfiguration while keeping the accounting
-// honest: hits and true oracle runs are counted separately, so the paper's
-// cost metric (board reflashes) is still reported exactly.
+// or a replayed verification probe); an attacker never reflashes the same
+// image twice, so every probe is looked up here first and only a miss
+// reaches the board.  The session's run ledger counts hits and true oracle
+// runs separately, so the paper's cost metric (board reflashes) is still
+// reported exactly, and probe_calls is what a run without the record pays.
 //
 // Keys are a 128-bit content hash of (bitstream bytes, word count).  The
 // hash is not cryptographic — it only has to make accidental collisions
 // between a few thousand probes of the same campaign vanishingly unlikely.
-// The map is sharded by key so concurrent trials sharing a cache do not
-// serialize on one mutex.
+//
+// Single owner: one cache belongs to one probe session at a time, and that
+// session probes from its driving thread only (batching fans out inside the
+// oracle).  Every campaign trial, bench and test builds its own, so the map
+// carries no lock; a caller that keeps one across runs (the checkpoint:
+// export_probes / restore_probes) hands it to one session after another.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
-#include <mutex>
-#include <optional>
 #include <span>
-#include <vector>
+#include <utility>
 
 #include "common/bits.h"
 #include "common/flat_map.h"
+#include "runtime/retry.h"
 
 namespace sbm::runtime {
 
@@ -38,40 +40,8 @@ struct ProbeKey {
 /// 128-bit content hash of the probe (bitstream bytes + keystream length).
 ProbeKey make_probe_key(std::span<const u8> bitstream, size_t words);
 
-/// A probe's outcome: nullopt when the device rejected the bitstream, else
-/// the keystream words.  Rejections are cached too — re-proving that a bad
-/// bitstream is bad costs a reconfiguration just the same.
-using ProbeResult = std::optional<std::vector<u32>>;
-
 class ProbeCache {
  public:
-  explicit ProbeCache(size_t shards = 16);
-
-  /// Returns the cached outcome, or nullopt on miss.  Counts one hit or one
-  /// miss.
-  std::optional<ProbeResult> lookup(const ProbeKey& key);
-
-  /// Stores the outcome of a true probe.  First writer wins; a concurrent
-  /// duplicate store of the same key is dropped (the outcomes are equal by
-  /// construction — the key is the full probe content).
-  void store(const ProbeKey& key, ProbeResult result);
-
-  size_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  size_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  size_t entries() const;
-
-  /// Visits every stored (key, outcome) pair, shard by shard under that
-  /// shard's lock, in unspecified order.  Counts no hit or miss.
-  template <class Fn>
-  void for_each(Fn&& fn) const {
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.map.for_each(fn);
-    }
-  }
-
-  void clear();
-
   /// Hash over the already well-mixed 128-bit content key.  Public so every
   /// map keyed by ProbeKey (the session's in-batch dedupe, the fault model's
   /// memo, the accounting-parity test) hashes the same way.
@@ -81,21 +51,31 @@ class ProbeCache {
     }
   };
 
+  /// The settled outcome of the probe, or nullptr when it never ran.
+  const ProbeOutcome* find(const ProbeKey& key) const { return map_.find(key); }
+
+  /// Records a settled outcome: a confirmed value or a persistent rejection
+  /// (re-proving that a bad bitstream is bad costs a reconfiguration just
+  /// the same).  The first outcome stored for a key stays; the key is the
+  /// full probe content, so a later one is equal by construction.
+  void store(const ProbeKey& key, ProbeOutcome outcome) {
+    map_.try_emplace(key, std::move(outcome));
+  }
+
+  size_t size() const { return map_.size(); }
+
+  /// Visits every stored (key, outcome) pair in unspecified order.
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    map_.for_each(fn);
+  }
+
  private:
-  // Open-addressing shard (common/flat_map.h): probe keys are uniformly
-  // mixed content hashes, so linear probing stays short, and the flat
-  // layout turns each lookup into one predictable memory stream instead of
-  // a node-pointer chase.
-  struct Shard {
-    mutable std::mutex mutex;
-    FlatMap<ProbeKey, ProbeResult, KeyHash> map;
-  };
-
-  Shard& shard_of(const ProbeKey& key) { return shards_[key.lo % shards_.size()]; }
-
-  std::vector<Shard> shards_;
-  std::atomic<size_t> hits_{0};
-  std::atomic<size_t> misses_{0};
+  // Open addressing (common/flat_map.h): probe keys are uniformly mixed
+  // content hashes, so linear probing stays short, and the flat layout
+  // turns each lookup into one predictable memory stream instead of a
+  // node-pointer chase.
+  FlatMap<ProbeKey, ProbeOutcome, KeyHash> map_;
 };
 
 }  // namespace sbm::runtime

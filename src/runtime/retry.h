@@ -45,7 +45,7 @@ enum class ProbeError : u8 {
   kTimeout,
   /// The device is gone: timeouts/corruption exhausted the retry budget.
   /// Never retried; the pipeline phase containing it aborts with a partial
-  /// result (its settled probes stay in the caller's cache).
+  /// result (its settled probes stay in the probe cache).
   kDead,
 };
 
@@ -80,13 +80,6 @@ class ProbeOutcome {
   /// Worth another attempt: the fault is in the interaction, not the probe.
   bool transient() const {
     return error_ == ProbeError::kCorrupt || error_ == ProbeError::kTimeout;
-  }
-
-  /// Collapses to the legacy representation (rejection and value only); the
-  /// probe cache stores this, and only confirmed outcomes may reach it.
-  std::optional<std::vector<u32>> to_optional() const {
-    if (!ok()) return std::nullopt;
-    return keystream_;
   }
 
   friend bool operator==(const ProbeOutcome&, const ProbeOutcome&) = default;

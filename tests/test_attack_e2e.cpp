@@ -89,6 +89,15 @@ TEST(AttackE2E, PhaseRunAccounting) {
   // The two alpha2 keystream computations of Section VI-D.1.
   EXPECT_EQ(res.phase_runs[4].first, "alpha2");
   EXPECT_EQ(res.phase_runs[4].second, 2u);
+  // No caller cache: the session's own record still answers every repeated
+  // probe, so the paper's metric is the pinned 8,350 reflashes, and
+  // probe_calls is what a run that reflashed every request would pay.
+  EXPECT_EQ(res.oracle_runs, 8350u);
+  EXPECT_EQ(res.cache_hits, 8402u);
+  EXPECT_EQ(res.probe_calls, 16752u);
+  const std::vector<std::pair<std::string, size_t>> split = {
+      {"setup", 2}, {"z-path", 36}, {"beta", 1}, {"feedback", 8308}, {"alpha2", 2}, {"extract", 1}};
+  EXPECT_EQ(res.phase_runs, split);
 }
 
 TEST(AttackE2E, ProtectedImplementationResists) {

@@ -7,13 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <ostream>
+#include <string_view>
+#include <type_traits>
 
 #include "attack/pipeline.h"
 #include "bitstream/patcher.h"
 #include "campaign/campaign.h"
 #include "common/rng.h"
 #include "fpga/system.h"
-#include "runtime/probe_cache.h"
 #include "runtime/thread_pool.h"
 
 namespace sbm {
@@ -29,83 +32,97 @@ const fpga::System& shared_system() {
 attack::AttackResult run_attack(unsigned batch_width, runtime::ThreadPool* pool) {
   const fpga::System& sys = shared_system();
   attack::DeviceOracle oracle(sys, kHostIv, pool, batch_width);
-  runtime::ProbeCache cache;
   attack::PipelineConfig cfg;
   cfg.iv = kHostIv;
-  cfg.cache = &cache;
   cfg.find.pool = pool;
   attack::Attack attack(oracle, sys.golden.bytes, cfg);
   return attack.execute();
 }
 
-TEST(BatchAttack, FullAttackInvariantAcrossWidthsAndThreads) {
-  const attack::AttackResult ref = run_attack(/*batch_width=*/1, /*pool=*/nullptr);
-  ASSERT_TRUE(ref.success) << ref.failure;
-  ASSERT_TRUE(ref.key_confirmed);
-  EXPECT_EQ(ref.probe_calls, ref.oracle_runs + ref.cache_hits);
-  // The paper's cost metric on the default victim, pinned absolutely.
-  EXPECT_EQ(ref.oracle_runs, 8350u);
-  EXPECT_EQ(ref.cache_hits, 8402u);
-  EXPECT_EQ(ref.probe_calls, 16752u);
-  const std::vector<std::pair<std::string, size_t>> phases = {
-      {"setup", 2}, {"z-path", 36}, {"beta", 1}, {"feedback", 8308}, {"alpha2", 2}, {"extract", 1}};
-  EXPECT_EQ(ref.phase_runs, phases);
-
-  runtime::ThreadPool pool(8);
-  struct Config {
-    unsigned width;
-    runtime::ThreadPool* pool;
-  };
-  // Widths beyond 64 engage the wide SIMD backends when compiled in; the
-  // oracle clamps them to the active backend's lane count, and the results
-  // must stay bit-identical either way.
-  const Config configs[] = {{7, nullptr}, {7, &pool}, {64, nullptr}, {64, &pool},
-                            {256, &pool}, {512, nullptr}, {512, &pool}};
-  for (const Config& c : configs) {
-    SCOPED_TRACE("width " + std::to_string(c.width) + (c.pool ? ", 8 threads" : ", serial"));
-    const attack::AttackResult res = run_attack(c.width, c.pool);
-    ASSERT_TRUE(res.success) << res.failure;
-    EXPECT_EQ(res.faulty_keystream, ref.faulty_keystream);
-    EXPECT_EQ(res.secrets.key, ref.secrets.key);
-    EXPECT_EQ(res.secrets.iv, ref.secrets.iv);
-    EXPECT_EQ(res.recovered_state, ref.recovered_state);
-    EXPECT_EQ(res.oracle_runs, ref.oracle_runs);
-    EXPECT_EQ(res.cache_hits, ref.cache_hits);
-    EXPECT_EQ(res.probe_calls, ref.probe_calls);
-    EXPECT_EQ(res.phase_runs, ref.phase_runs);
-    EXPECT_EQ(res.log, ref.log);
-    EXPECT_EQ(res.feedback.size(), ref.feedback.size());
-    EXPECT_EQ(res.lut1.size(), ref.lut1.size());
-    EXPECT_EQ(res.probe_calls, res.oracle_runs + res.cache_hits);
+/// Order-sensitive digest of a sequence of words or strings, so a case can
+/// compare a long output against a value pinned from the scalar reference.
+template <class Range>
+u64 digest(const Range& items) {
+  u64 h = 0x243f6a8885a308d3ull;
+  auto fold = [&h](u64 v) { h = mix64(h ^ (v + 0x9e3779b97f4a7c15ull)); };
+  for (const auto& item : items) {
+    if constexpr (std::is_convertible_v<decltype(item), std::string_view>) {
+      fold(item.size());
+      for (const char c : item) fold(static_cast<unsigned char>(c));
+    } else {
+      fold(item);
+    }
   }
+  return h;
 }
 
-TEST(BatchAttack, CampaignFingerprintInvariantAcrossWidthsAndThreads) {
+/// One batch width and pool size.  Width 1 on one thread is the scalar
+/// reference: one reconfiguration per oracle call, no bit-slicing.  Widths
+/// beyond 64 engage the wide SIMD backends when compiled in; the oracle
+/// clamps them to the active backend's lane count, and the results must
+/// stay bit-identical either way.  Each configuration is its own case, so
+/// ctest runs them in parallel, and each asserts the reference's values.
+struct WidthConfig {
+  unsigned width;
+  unsigned threads;  // the attack runs without a pool at 0
+};
+
+// Names each case (and so its ctest entry) "w<width>_t<threads>".
+void PrintTo(const WidthConfig& c, std::ostream* os) {
+  *os << "w" << c.width << "_t" << c.threads;
+}
+
+class BatchAttackWidth : public ::testing::TestWithParam<WidthConfig> {};
+class BatchCampaignWidth : public ::testing::TestWithParam<WidthConfig> {};
+
+TEST_P(BatchAttackWidth, FullAttackMatchesTheScalarReference) {
+  const WidthConfig c = GetParam();
+  std::optional<runtime::ThreadPool> pool;
+  if (c.threads != 0) pool.emplace(c.threads);
+  const attack::AttackResult res = run_attack(c.width, pool ? &*pool : nullptr);
+  ASSERT_TRUE(res.success) << res.failure;
+  ASSERT_TRUE(res.key_confirmed);
+  // The paper's cost metric on the default victim, pinned absolutely.
+  EXPECT_EQ(res.oracle_runs, 8350u);
+  EXPECT_EQ(res.cache_hits, 8402u);
+  EXPECT_EQ(res.probe_calls, 16752u);
+  const std::vector<std::pair<std::string, size_t>> phases = {
+      {"setup", 2}, {"z-path", 36}, {"beta", 1}, {"feedback", 8308}, {"alpha2", 2}, {"extract", 1}};
+  EXPECT_EQ(res.phase_runs, phases);
+  // Everything else the attack derives, as the scalar reference gives it.
+  EXPECT_EQ(res.secrets.key, shared_system().options.key);
+  EXPECT_EQ(res.secrets.iv, kHostIv);
+  EXPECT_EQ(digest(res.recovered_state), 4609057394887111215ull);
+  EXPECT_EQ(digest(res.faulty_keystream), 3459138405543755284ull);
+  EXPECT_EQ(digest(res.log), 2332186145533179498ull);
+  EXPECT_EQ(res.feedback.size(), 94u);
+  EXPECT_EQ(res.lut1.size(), 32u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, BatchAttackWidth,
+                         ::testing::Values(WidthConfig{1, 0}, WidthConfig{7, 0},
+                                           WidthConfig{7, 8}, WidthConfig{64, 0},
+                                           WidthConfig{64, 8}, WidthConfig{256, 8},
+                                           WidthConfig{512, 0}, WidthConfig{512, 8}));
+
+TEST_P(BatchCampaignWidth, FingerprintMatchesTheScalarReference) {
+  const WidthConfig c = GetParam();
   campaign::CampaignOptions opt;
   opt.trials = 2;
   opt.seed = 0xfeedba7c;
-  opt.threads = 1;
-  opt.batch_width = 1;
-  const campaign::CampaignReport ref = campaign::run_campaign(opt);
-  ASSERT_TRUE(ref.all_expected());
-  EXPECT_EQ(ref.fingerprint(), 0x53f8116bc28dac43ull);
-
-  struct Config {
-    unsigned width;
-    unsigned threads;
-  };
-  for (const Config c : {Config{7, 8}, Config{64, 1}, Config{64, 8}, Config{512, 8}}) {
-    SCOPED_TRACE("width " + std::to_string(c.width) + ", " + std::to_string(c.threads) +
-                 " threads");
-    campaign::CampaignOptions vopt = opt;
-    vopt.batch_width = c.width;
-    vopt.threads = c.threads;
-    const campaign::CampaignReport rep = campaign::run_campaign(vopt);
-    EXPECT_EQ(rep.fingerprint(), ref.fingerprint());
-    EXPECT_EQ(rep.totals.oracle_runs, ref.totals.oracle_runs);
-    EXPECT_EQ(rep.totals.cache_hits, ref.totals.cache_hits);
-  }
+  opt.batch_width = c.width;
+  opt.threads = c.threads;
+  const campaign::CampaignReport rep = campaign::run_campaign(opt);
+  ASSERT_TRUE(rep.all_expected());
+  EXPECT_EQ(rep.fingerprint(), 0x53f8116bc28dac43ull);
+  EXPECT_EQ(rep.totals.oracle_runs, 15987u);
+  EXPECT_EQ(rep.totals.cache_hits, 16028u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Widths, BatchCampaignWidth,
+                         ::testing::Values(WidthConfig{1, 1}, WidthConfig{7, 8},
+                                           WidthConfig{64, 1}, WidthConfig{64, 8},
+                                           WidthConfig{512, 8}));
 
 /// Forwards to a serial DeviceOracle and records the victim snapshot's
 /// sites-decoded total after every call, keyed by the runs so far, so the

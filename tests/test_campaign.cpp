@@ -384,6 +384,12 @@ TEST(CampaignOptions, OneValidatorRejectsEveryOutOfRangeOption) {
   EXPECT_EQ(campaign::options_error(edge), "");
   edge.batch_width = 1;
   EXPECT_EQ(campaign::options_error(edge), "");
+  // The upper bounds are inclusive.  Validators only: nothing here runs a
+  // campaign or sizes per-trial state with these counts.
+  edge.trials = campaign::kMaxTrials;
+  edge.words = campaign::kMaxWords;
+  edge.threads = campaign::kMaxThreads;
+  EXPECT_EQ(campaign::options_error(edge), "");
 
   struct Case {
     const char* json;  // the same option as a job's "options" object
@@ -391,7 +397,16 @@ TEST(CampaignOptions, OneValidatorRejectsEveryOutOfRangeOption) {
   };
   const Case cases[] = {
       {R"({"trials":0})", [](campaign::CampaignOptions& o) { o.trials = 0; }},
+      {R"({"trials":1048577})",
+       [](campaign::CampaignOptions& o) { o.trials = campaign::kMaxTrials + 1; }},
+      // What `--trials -1` used to wrap to.
+      {R"({"trials":18446744073709551615})",
+       [](campaign::CampaignOptions& o) { o.trials = ~size_t{0}; }},
       {R"({"words":0})", [](campaign::CampaignOptions& o) { o.words = 0; }},
+      {R"({"words":1025})",
+       [](campaign::CampaignOptions& o) { o.words = campaign::kMaxWords + 1; }},
+      {R"({"threads":1025})",
+       [](campaign::CampaignOptions& o) { o.threads = campaign::kMaxThreads + 1; }},
       {R"({"batch_width":0})", [](campaign::CampaignOptions& o) { o.batch_width = 0; }},
       {R"({"batch_width":513})",
        [](campaign::CampaignOptions& o) { o.batch_width = simd::kMaxLanes + 1; }},
@@ -411,6 +426,23 @@ TEST(CampaignOptions, OneValidatorRejectsEveryOutOfRangeOption) {
     ASSERT_TRUE(doc.has_value());
     EXPECT_FALSE(campaign::options_from_json(*doc).has_value());
     const auto job = parse_json(std::string(R"({"mode":"attack","options":)") + c.json + "}");
+    ASSERT_TRUE(job.has_value());
+    EXPECT_FALSE(service::job_spec_from_json(*job).has_value());
+  }
+
+  // Counts no field can hold: negative, fractional, or wider than the field.
+  // They used to wrap (-1 -> 2^64 - 1) or truncate (a fleet of 2^32 + 2
+  // boards read as 2) into an option that looked valid.
+  for (const char* json :
+       {R"({"trials":-1})", R"({"trials":1.5})", R"({"words":-1})", R"({"threads":-1})",
+        R"({"threads":4294967296})", R"({"batch_width":4294967297})",
+        R"({"fleet_size":4294967298})", R"({"protected_every":-1})",
+        R"({"trials":18446744073709551616})"}) {
+    SCOPED_TRACE(json);
+    const auto doc = parse_json(json);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_FALSE(campaign::options_from_json(*doc).has_value());
+    const auto job = parse_json(std::string(R"({"mode":"attack","options":)") + json + "}");
     ASSERT_TRUE(job.has_value());
     EXPECT_FALSE(service::job_spec_from_json(*job).has_value());
   }

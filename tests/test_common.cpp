@@ -218,6 +218,18 @@ TEST(JsonFuzz, RawNumberTokensSurviveBeyondDoublePrecision) {
   EXPECT_EQ(v->find("odd")->as_u64(), 9007199254740993ull);
 }
 
+TEST(JsonFuzz, NumbersThatAreNotU64ReadAsTheFallback) {
+  // A count of -1 must not wrap to 2^64-1, 1.5 must not truncate to 1, and
+  // 2^64 must not saturate.
+  for (const char* token : {"-1", "-0", "1.5", "1e3", "18446744073709551616"}) {
+    SCOPED_TRACE(token);
+    const auto v = parse_json(token);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->as_u64(7), 7u);
+  }
+  EXPECT_EQ(parse_json("0")->as_u64(7), 0u);
+}
+
 TEST(JsonFuzz, WriterOutputIsAlwaysAFixpointSeed) {
   // Randomized JsonWriter documents (the artifact-producing side) must all
   // round-trip through the parser and reach the dump fixpoint.

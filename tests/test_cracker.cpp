@@ -255,13 +255,12 @@ TEST(DecoyHypothesis, BruteForceDifferentialOnSmallSets) {
 // The device-bound Cracker on real victims.
 // ---------------------------------------------------------------------------
 
-/// Cracks `sys` through `cache` (a private one when null).
+/// Cracks `sys` through `cache` (the session's own when null).
 CrackResult crack_victim(const fpga::System& sys, runtime::ThreadPool* pool,
                          runtime::ProbeCache* cache = nullptr) {
   DeviceOracle oracle(sys, kIv, pool);
-  runtime::ProbeCache private_cache;
   CrackerConfig cfg;
-  cfg.cache = cache != nullptr ? cache : &private_cache;
+  cfg.cache = cache;
   if (pool != nullptr) cfg.find.pool = pool;
   Cracker cracker(oracle, sys.golden.bytes, cfg);
   return cracker.execute();

@@ -45,17 +45,14 @@ const fpga::System& shared_system() {
 }
 
 /// One attack on the shared system through `oracle` under `retry`, probing
-/// through `cache` (a private one when null) after restoring `resume` into
-/// it (a prior run's checkpoint probes; empty for a cold start).
+/// through `cache` (the session's own when null; a resume restores a prior
+/// run's checkpoint probes into it first).
 attack::AttackResult run_attack(attack::Oracle& oracle, runtime::RetryPolicy retry = {},
-                                std::span<const attack::SavedProbe> resume = {},
                                 runtime::ProbeCache* cache = nullptr) {
-  runtime::ProbeCache private_cache;
   attack::PipelineConfig cfg;
   cfg.iv = kHostIv;
-  cfg.cache = cache != nullptr ? cache : &private_cache;
+  cfg.cache = cache;
   cfg.retry = retry;
-  attack::restore_probes(resume, *cfg.cache);
   attack::Attack attack(oracle, shared_system().golden.bytes, cfg);
   return attack.execute();
 }
@@ -465,7 +462,7 @@ TEST(NoisyAttack, DeathInEachPhaseYieldsPartialResultWithCheckpoint) {
     runtime::ProbeCache cache;
     attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
     FaultyOracle oracle(device, FaultPlan().kill_at(kill_index));
-    const attack::AttackResult res = run_attack(oracle, pair_voting(), {}, &cache);
+    const attack::AttackResult res = run_attack(oracle, pair_voting(), &cache);
 
     // Contained: a partial result naming the phase, never a wrong key.
     EXPECT_FALSE(res.success);
@@ -597,7 +594,7 @@ TEST(ProbeCacheGuard, CorruptFirstReadNeverPoisonsTheCache) {
   runtime::ProbeCache cache;
   attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
   FaultyOracle oracle(device, FaultPlan().flip_at(0, 0, 9));
-  const attack::AttackResult first = run_attack(oracle, pair_voting(), {}, &cache);
+  const attack::AttackResult first = run_attack(oracle, pair_voting(), &cache);
   ASSERT_TRUE(first.success) << first.failure;
   EXPECT_EQ(oracle.injected_flips(), 1u);
   EXPECT_GE(first.corruption_detections, 1u);
@@ -606,7 +603,7 @@ TEST(ProbeCacheGuard, CorruptFirstReadNeverPoisonsTheCache) {
   // if the flipped read had been stored, its very first cache hit would be
   // the corrupt baseline and the pipeline would diverge from the reference.
   attack::DeviceOracle verifier(sys, kHostIv, nullptr, 64);
-  const attack::AttackResult second = run_attack(verifier, {}, {}, &cache);
+  const attack::AttackResult second = run_attack(verifier, {}, &cache);
   ASSERT_TRUE(second.success) << second.failure;
   EXPECT_EQ(second.secrets.key, sys.options.key);
   EXPECT_EQ(second.faulty_keystream, clean.faulty_keystream);
@@ -624,13 +621,13 @@ TEST(ProbeCacheGuard, FatalOutcomesAreNeverStored) {
   runtime::ProbeCache cache;
   attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
   FaultyOracle oracle(device, FaultPlan().kill_at(0));
-  const attack::AttackResult first = run_attack(oracle, pair_voting(), {}, &cache);
+  const attack::AttackResult first = run_attack(oracle, pair_voting(), &cache);
   EXPECT_FALSE(first.success);
   EXPECT_TRUE(first.partial);
   EXPECT_EQ(first.failure.rfind("setup", 0), 0u) << first.failure;
 
   attack::DeviceOracle fresh(sys, kHostIv, nullptr, 64);
-  const attack::AttackResult second = run_attack(fresh, {}, {}, &cache);
+  const attack::AttackResult second = run_attack(fresh, {}, &cache);
   ASSERT_TRUE(second.success) << second.failure;
   // Identical miss/hit split to a cold-cache clean run: nothing bogus was
   // pre-seeded by the dead board.
@@ -650,7 +647,7 @@ TEST(AttackCheckpointTest, SettledProbesSurviveDeathAndResumeNeverRepaysThem) {
   runtime::ProbeCache cache;
   attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
   FaultyOracle oracle(device, FaultPlan().kill_at(2 * setup_misses + 100));
-  const attack::AttackResult first = run_attack(oracle, pair_voting(), {}, &cache);
+  const attack::AttackResult first = run_attack(oracle, pair_voting(), &cache);
   ASSERT_FALSE(first.success);
   ASSERT_TRUE(first.partial);
 
@@ -665,7 +662,9 @@ TEST(AttackCheckpointTest, SettledProbesSurviveDeathAndResumeNeverRepaysThem) {
   // checkpointed probe is answered from it, everything else is re-probed —
   // the sum is exactly the clean run's miss/hit split.
   attack::DeviceOracle fresh(sys, kHostIv, nullptr, 64);
-  const attack::AttackResult resumed = run_attack(fresh, {}, *back);
+  runtime::ProbeCache restored;
+  attack::restore_probes(*back, restored);
+  const attack::AttackResult resumed = run_attack(fresh, {}, &restored);
   ASSERT_TRUE(resumed.success) << resumed.failure;
   EXPECT_EQ(resumed.secrets.key, sys.options.key);
   EXPECT_EQ(resumed.faulty_keystream, clean.faulty_keystream);
@@ -684,9 +683,10 @@ TEST(AttackCheckpointTest, ChainedResumeKeepsEverySettledProbe) {
   auto run = [&](std::span<const attack::SavedProbe> resume, FaultPlan plan,
                  std::vector<attack::SavedProbe>& saved) {
     runtime::ProbeCache cache;
+    attack::restore_probes(resume, cache);
     attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
     FaultyOracle oracle(device, std::move(plan));
-    attack::AttackResult res = run_attack(oracle, {}, resume, &cache);
+    attack::AttackResult res = run_attack(oracle, {}, &cache);
     saved = attack::export_probes(cache);
     return res;
   };
@@ -789,14 +789,16 @@ TEST(AttackCheckpointTest, EarlierFileWithArtifactsLoadsAndResumes) {
   runtime::ProbeCache cache;
   attack::DeviceOracle device(sys, kHostIv, nullptr, 64);
   FaultyOracle oracle(device, FaultPlan().kill_at(5));
-  const attack::AttackResult dead = run_attack(oracle, {}, {}, &cache);
+  const attack::AttackResult dead = run_attack(oracle, {}, &cache);
   ASSERT_TRUE(dead.partial);
   EXPECT_EQ(dead.failure.rfind("z-path", 0), 0u) << dead.failure;
   EXPECT_EQ(*loaded, attack::export_probes(cache));
 
   // A resume from the file finishes and re-pays none of its probes.
   attack::DeviceOracle fresh(sys, kHostIv, nullptr, 64);
-  const attack::AttackResult resumed = run_attack(fresh, {}, *loaded);
+  runtime::ProbeCache restored;
+  attack::restore_probes(*loaded, restored);
+  const attack::AttackResult resumed = run_attack(fresh, {}, &restored);
   ASSERT_TRUE(resumed.success) << resumed.failure;
   EXPECT_EQ(resumed.secrets.key, sys.options.key);
   EXPECT_EQ(resumed.oracle_runs + loaded->size(), clean.oracle_runs);

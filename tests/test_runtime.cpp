@@ -134,6 +134,8 @@ TEST(Parallel, ForCoversEveryIndexExactlyOnce) {
 }
 
 TEST(ProbeCache, HitMissAccounting) {
+  // A hit is a find that returns an outcome, a miss one that returns
+  // nullptr; the session counts them in its run ledger.
   ProbeCache cache;
   const std::vector<u8> bytes_a = {1, 2, 3, 4, 5};
   const std::vector<u8> bytes_b = {1, 2, 3, 4, 6};
@@ -141,30 +143,36 @@ TEST(ProbeCache, HitMissAccounting) {
   const ProbeKey b = make_probe_key(bytes_b, 16);
   EXPECT_FALSE(a == b);
 
-  EXPECT_FALSE(cache.lookup(a).has_value());
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.find(a), nullptr);
+  EXPECT_EQ(cache.size(), 0u);
 
-  cache.store(a, ProbeResult{std::vector<u32>{0xdead, 0xbeef}});
-  const auto hit = cache.lookup(a);
-  ASSERT_TRUE(hit.has_value());
-  ASSERT_TRUE(hit->has_value());
+  cache.store(a, ProbeOutcome(std::vector<u32>{0xdead, 0xbeef}));
+  const ProbeOutcome* hit = cache.find(a);
+  ASSERT_NE(hit, nullptr);
+  ASSERT_TRUE(hit->ok());
   EXPECT_EQ((**hit)[1], 0xbeefu);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.size(), 1u);
 
-  // Rejected probes (nullopt) are cacheable outcomes, distinct from misses.
-  cache.store(b, std::nullopt);
-  const auto rejected = cache.lookup(b);
-  ASSERT_TRUE(rejected.has_value());
-  EXPECT_FALSE(rejected->has_value());
-  EXPECT_EQ(cache.hits(), 2u);
+  // Rejected probes are cacheable outcomes, distinct from misses.
+  EXPECT_EQ(cache.find(b), nullptr);
+  cache.store(b, ProbeOutcome(ProbeError::kRejected));
+  const ProbeOutcome* rejected = cache.find(b);
+  ASSERT_NE(rejected, nullptr);
+  EXPECT_FALSE(rejected->ok());
+  EXPECT_EQ(rejected->error(), ProbeError::kRejected);
+  EXPECT_EQ(cache.size(), 2u);
 
-  cache.clear();
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
+  // The first outcome stored for a key stays.
+  cache.store(a, ProbeOutcome(std::vector<u32>{1, 2}));
+  EXPECT_EQ(*cache.find(a), ProbeOutcome(std::vector<u32>{0xdead, 0xbeef}));
+  EXPECT_EQ(cache.size(), 2u);
+
+  size_t visited = 0;
+  cache.for_each([&](const ProbeKey& key, const ProbeOutcome& outcome) {
+    ++visited;
+    EXPECT_EQ(outcome, *cache.find(key));
+  });
+  EXPECT_EQ(visited, 2u);
 }
 
 TEST(ProbeCache, KeyDependsOnWordsAndContent) {
@@ -174,28 +182,6 @@ TEST(ProbeCache, KeyDependsOnWordsAndContent) {
   flipped[11] ^= 0x80;  // tail byte beyond the last full 8-byte chunk
   EXPECT_FALSE(make_probe_key(bytes, 16) == make_probe_key(flipped, 16));
   EXPECT_TRUE(make_probe_key(bytes, 16) == make_probe_key(bytes, 16));
-}
-
-TEST(ProbeCache, ShardedConcurrentAccess) {
-  ProbeCache cache(8);
-  ThreadPool pool(8);
-  // Many threads hammering overlapping keys: every lookup is either a hit
-  // or a miss, totals must balance, and stored values stay intact.
-  parallel_for(&pool, 64, [&](size_t i) {
-    Rng rng(i % 16);  // 16 distinct probe contents, contended 4 ways each
-    std::vector<u8> bytes(64);
-    for (auto& b : bytes) b = static_cast<u8>(rng.next_u32());
-    const ProbeKey key = make_probe_key(bytes, 16);
-    if (!cache.lookup(key).has_value()) {
-      cache.store(key, ProbeResult{std::vector<u32>{static_cast<u32>(i % 16)}});
-    }
-    const auto back = cache.lookup(key);
-    if (back.has_value() && back->has_value()) {
-      EXPECT_EQ((**back)[0], i % 16);
-    }
-  });
-  EXPECT_EQ(cache.entries(), 16u);
-  EXPECT_EQ(cache.hits() + cache.misses(), 128u);  // 2 lookups per task
 }
 
 TEST(Json, WellFormedOutput) {

@@ -313,13 +313,13 @@ TEST(FlatMap, SurvivesDegenerateHash) {
 TEST(ProbeCacheFlatMap, AccountingParityAgainstReferenceMap) {
   // Randomized lookup/store traffic mirroring the pipeline (lookup, then
   // store on miss), checked step by step against an unordered_map driven
-  // with the very same KeyHash.  Hits, misses, entries and every returned
-  // value must agree exactly — the cache-hit accounting feeds the paper's
-  // cost metric, so "roughly right" is not acceptable.
+  // with the very same KeyHash.  Every hit or miss, the size and every
+  // returned outcome must agree exactly — the cache-hit accounting feeds
+  // the paper's cost metric, so "roughly right" is not acceptable.
   Rng rng(0xcac4e);
-  runtime::ProbeCache cache(/*shards=*/4);
-  std::unordered_map<runtime::ProbeKey, runtime::ProbeResult, runtime::ProbeCache::KeyHash> ref;
-  size_t expect_hits = 0, expect_misses = 0;
+  runtime::ProbeCache cache;
+  std::unordered_map<runtime::ProbeKey, runtime::ProbeOutcome, runtime::ProbeCache::KeyHash> ref;
+  size_t hits = 0;
   for (int op = 0; op < 5000; ++op) {
     std::vector<u8> bytes((rng.next_u64() % 96) + 1);
     // Small alphabet + small sizes: plenty of repeat probes, like replayed
@@ -328,32 +328,24 @@ TEST(ProbeCacheFlatMap, AccountingParityAgainstReferenceMap) {
     const size_t words = 1 + rng.next_u64() % 3;
     const runtime::ProbeKey key = runtime::make_probe_key(bytes, words);
 
-    const auto cached = cache.lookup(key);
+    const runtime::ProbeOutcome* cached = cache.find(key);
     const auto it = ref.find(key);
     if (it == ref.end()) {
-      ++expect_misses;
-      ASSERT_FALSE(cached.has_value());
-      runtime::ProbeResult result;
-      if (rng.next_u64() % 5 != 0) {  // cache rejections too
-        result = std::vector<u32>(words, static_cast<u32>(rng.next_u64()));
+      ASSERT_EQ(cached, nullptr);
+      runtime::ProbeOutcome outcome(runtime::ProbeError::kRejected);  // cache rejections too
+      if (rng.next_u64() % 5 != 0) {
+        outcome = std::vector<u32>(words, static_cast<u32>(rng.next_u64()));
       }
-      cache.store(key, result);
-      ref.emplace(key, std::move(result));
+      cache.store(key, outcome);
+      ref.emplace(key, std::move(outcome));
     } else {
-      ++expect_hits;
-      ASSERT_TRUE(cached.has_value());
+      ++hits;
+      ASSERT_NE(cached, nullptr);
       ASSERT_EQ(*cached, it->second);
     }
-    ASSERT_EQ(cache.hits(), expect_hits);
-    ASSERT_EQ(cache.misses(), expect_misses);
+    ASSERT_EQ(cache.size(), ref.size());
   }
-  EXPECT_EQ(cache.entries(), ref.size());
-  EXPECT_GT(expect_hits, 0u);
-
-  cache.clear();
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_GT(hits, 0u);
 }
 
 // ---------------------------------------------------------------------------
