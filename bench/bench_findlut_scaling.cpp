@@ -11,21 +11,25 @@
 // The family sweep crosses candidate count (1/4/16/64 — padding the real
 // attack family with deterministic decoy functions, the countermeasure's
 // at-scale workload) with synthetic bitstream size (64 KiB – 4 MiB) and
-// writes per-config rows to BENCH_findlut_scaling.json;
-// scripts/check_bench_regression.py compares them against the committed
-// baseline.  A row is `identical` when the family pass equals the
-// per-candidate passes structurally and, on the 64 KiB rows up to 16
-// candidates where Algorithm 1 is affordable, the per-candidate passes also
-// mark Algorithm 1's byte positions and satisfy the match-by-match contract
-// (tests/findlut_contract.h).  `--smoke` runs the 1- and 4-candidate 64 KiB
-// rows and exits nonzero unless both are identical (wired into ctest under
-// the `bench` label).
+// writes per-config rows to BENCH_findlut_scaling.json.  A row is
+// `identical` when the family pass equals the per-candidate passes
+// structurally and, on the 64 KiB rows up to 16 candidates where Algorithm 1
+// is affordable, the per-candidate passes also mark Algorithm 1's byte
+// positions and satisfy the match-by-match contract
+// (tests/findlut_contract.h); the bench exits 1 unless every row is.  Each
+// row's walls are medians of kRepeats interleaved repeats.  The
+// `wall_ratios` — per row the family pass over one pass per candidate, and
+// for the sweep the index compiles over a SHA-256 calibration timed between
+// them — are what scripts/check_bench_regression.py compares against the
+// committed baseline.  `--smoke` runs the 1- and 4-candidate 64 KiB rows
+// and exits nonzero unless both are identical (wired into ctest under the
+// `bench` label).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-
 #include <string>
 
 #include "attack/findlut.h"
@@ -34,6 +38,7 @@
 #include "bitstream/patcher.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "crypto/sha256.h"
 #include "findlut_contract.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -45,6 +50,9 @@ using namespace sbm;
 using namespace sbm::attack;
 
 constexpr size_t kOffsetD = 404;
+
+/// Repeats behind every family-sweep wall and ratio; the median is kept.
+constexpr int kRepeats = 5;
 
 std::vector<u8> synthetic_bitstream(size_t size, unsigned planted) {
   Rng rng(42);
@@ -106,15 +114,31 @@ struct SweepRow {
   size_t kib = 0;
   double engine_seconds = 0;       // warm: shared index already compiled
   double engine_cold_seconds = 0;  // first scan, index compile included
-  double index_build_seconds = 0;  // the compile alone (cold minus the scan)
+  double index_build_seconds = 0;  // the compile alone
   double per_candidate_seconds = 0;  // warm: one engine pass per candidate
+  // The family pass over one pass per candidate: the row's gated wall ratio
+  // (lower is better; 1/speedup).
+  double scan_ratio = 0;
+  // Every timed compile, and the SHA-256 calibration timed after each one:
+  // summed over the sweep, their ratio is the compile's gated wall ratio.
+  double build_total = 0;
+  double calibration_total = 0;
   size_t matches = 0;
   bool naive_checked = false;  // Algorithm 1 and the contract ran on this row
   bool identical = false;
-  double speedup() const {
-    return engine_seconds > 0 ? per_candidate_seconds / engine_seconds : 0;
-  }
+  double speedup() const { return scan_ratio > 0 ? 1 / scan_ratio : 0; }
 };
+
+double seconds_of(auto&& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
 
 SweepRow run_config(size_t candidates, size_t kib) {
   const auto family = candidate_family(candidates);
@@ -125,35 +149,58 @@ SweepRow run_config(size_t candidates, size_t kib) {
   SweepRow row;
   row.candidates = candidates;
   row.kib = kib;
-
-  auto timed = [](auto&& fn, double& seconds) {
-    const auto start = std::chrono::steady_clock::now();
-    auto result = fn();
-    seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    return result;
-  };
-  // The compile alone (720 permutations x candidates, xi-mapped, bucketed):
-  // the cost a campaign pays exactly once per family, however many trials
-  // then share the index.
   std::vector<logic::TruthTable6> functions;
   for (const auto& c : family) functions.push_back(c.function);
-  pattern_index_cache_clear();
-  timed([&] { return shared_pattern_index(functions, opt); }, row.index_build_seconds);
-  pattern_index_cache_clear();
-  const auto cold = timed([&] { return scan_family(bytes, family, opt); },
-                          row.engine_cold_seconds);
-  const auto warm = timed([&] { return scan_family(bytes, family, opt); },
-                          row.engine_seconds);
-  // Per-candidate passes, their one-function indexes compiled beforehand so
-  // both sides of the speedup are warm scans.
-  for (const auto& f : functions) shared_pattern_index({&f, 1}, opt);
-  const auto per_candidate = timed(
-      [&] {
-        std::vector<std::vector<LutMatch>> out;
-        for (const auto& f : functions) out.push_back(find_lut(bytes, f, opt));
-        return out;
-      },
-      row.per_candidate_seconds);
+
+  // Load on a shared machine comes and goes in bursts, so each repeat times
+  // the two sides of a ratio alternately, in small steps: one family pass,
+  // then one candidate's pass, `steps` times (every candidate at least once,
+  // at least 4 MiB scanned per side); then `builds` index compiles (16
+  // candidates' worth), each followed by SHA-256 over 128 KiB per candidate,
+  // a fixed amount of work that runs no scan code.
+  const size_t steps = std::max(candidates, std::max<size_t>(1, 4096 / kib));
+  const size_t builds = std::max<size_t>(1, 16 / candidates);
+  std::vector<double> cold_w, engine_w, per_candidate_w, build_w, scan_ratios;
+  static const std::vector<u8> block(128 * 1024, 0x5a);
+  std::vector<FamilyCount> cold, warm;
+  std::vector<std::vector<LutMatch>> per_candidate(candidates);
+  for (int r = 0; r < kRepeats; ++r) {
+    pattern_index_cache_clear();
+    cold_w.push_back(seconds_of([&] { cold = scan_family(bytes, family, opt); }));
+    // The per-candidate passes' one-function indexes, compiled beforehand so
+    // both sides of the speedup are warm scans.
+    for (const auto& f : functions) shared_pattern_index({&f, 1}, opt);
+    double engine = 0, single = 0;
+    for (size_t i = 0; i < steps; ++i) {
+      const size_t c = i % candidates;
+      engine += seconds_of([&] { warm = scan_family(bytes, family, opt); });
+      single += seconds_of([&] { per_candidate[c] = find_lut(bytes, functions[c], opt); });
+    }
+    engine_w.push_back(engine / static_cast<double>(steps));
+    per_candidate_w.push_back(single / static_cast<double>(steps) *
+                              static_cast<double>(candidates));
+    scan_ratios.push_back(engine / single / static_cast<double>(candidates));
+    // The compile alone (720 permutations x candidates, xi-mapped,
+    // bucketed): the cost a campaign pays exactly once per family, however
+    // many trials then share the index.
+    double build = 0;
+    for (size_t i = 0; i < builds; ++i) {
+      build += seconds_of([&] {
+        pattern_index_cache_clear();
+        shared_pattern_index(functions, opt);
+      });
+      row.calibration_total += seconds_of([&] {
+        for (size_t k = 0; k < candidates; ++k) benchmark::DoNotOptimize(crypto::sha256(block));
+      });
+    }
+    build_w.push_back(build / static_cast<double>(builds));
+    row.build_total += build;
+  }
+  row.engine_cold_seconds = median(cold_w);
+  row.engine_seconds = median(engine_w);
+  row.per_candidate_seconds = median(per_candidate_w);
+  row.index_build_seconds = median(build_w);
+  row.scan_ratio = median(scan_ratios);
   row.identical = true;
   row.naive_checked = kib <= 64 && candidates <= 16;
   for (size_t c = 0; c < family.size(); ++c) {
@@ -206,10 +253,11 @@ bool write_bench_json() {
   // vs one pass per candidate.
   std::printf("\nfamily sweep (one engine pass for the family vs one per candidate):\n");
   bool all_identical = true;
+  std::vector<SweepRow> rows;
   w.key("family_sweep").begin_array();
   for (const size_t candidates : {1, 4, 16, 64}) {
     for (const size_t kib : {64, 512, 4096}) {
-      const SweepRow r = run_config(candidates, kib);
+      const SweepRow& r = rows.emplace_back(run_config(candidates, kib));
       print_row(r);
       all_identical = all_identical && r.identical;
       w.begin_object();
@@ -227,6 +275,19 @@ bool write_bench_json() {
     }
   }
   w.end_array();
+  // Lower is better; check_bench_regression.py compares each with the
+  // committed baseline's.
+  w.key("wall_ratios").begin_object();
+  double build = 0, calibration = 0;
+  for (const SweepRow& r : rows) {
+    w.field(std::to_string(r.candidates) + "x" + std::to_string(r.kib) +
+                "KiB.family_vs_per_candidate",
+            r.scan_ratio);
+    build += r.build_total;
+    calibration += r.calibration_total;
+  }
+  w.field("index_build_vs_calibration", build / calibration);
+  w.end_object();
   w.end_object();
   if (std::FILE* file = std::fopen("BENCH_findlut_scaling.json", "w")) {
     std::fwrite(w.str().data(), 1, w.str().size(), file);
