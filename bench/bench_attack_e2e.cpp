@@ -117,7 +117,8 @@ struct CleanRun {
 };
 
 /// The runtime configuration: probe cache + SIMD-wide bit-sliced batches
-/// under the active backend, on one thread or across `pool`.  With `samples`
+/// under the active backend, on one thread, or with the oracle's chunks
+/// offered to `pool` (the scans stay on the calling thread).  With `samples`
 /// the device is wrapped in a SampleRecorder.
 CleanRun run_clean(runtime::ThreadPool* pool, std::vector<Sample>* samples = nullptr) {
   const fpga::System& sys = system_instance();
@@ -125,7 +126,6 @@ CleanRun run_clean(runtime::ThreadPool* pool, std::vector<Sample>* samples = nul
   SampleRecorder recorder(device);
   PipelineConfig cfg;
   cfg.iv = kIv;
-  cfg.find.pool = pool;
   CleanRun run;
   const auto start = std::chrono::steady_clock::now();
   Attack attack(samples ? static_cast<Oracle&>(recorder) : device, sys.golden.bytes, cfg);
@@ -274,7 +274,7 @@ FleetRun run_fleet(unsigned boards, bool hedge) {
   const fpga::System& sys = system_instance();
   fleet::FleetOptions opt = deathmatch_options(boards);
   opt.hedge = hedge;
-  fleet::FleetOracle oracle(sys, kIv, opt, nullptr, 64);
+  fleet::FleetOracle oracle(sys, kIv, opt, 64);
   PipelineConfig cfg;
   cfg.iv = kIv;
   cfg.retry = runtime::RetryPolicy::voting(1);

@@ -44,7 +44,7 @@ int usage(const char* argv0) {
                "  --tcp PORT           listen on 127.0.0.1:PORT (0 = ephemeral;\n"
                "                       the resolved port is printed on stdout)\n"
                "  --workers N          concurrent job slots (default 1)\n"
-               "  --pool-threads N     shared trial/scan pool size (default: hardware)\n"
+               "  --pool-threads N     shared trial pool size (default: hardware)\n"
                "  --tenant-cap N       per-tenant queue capacity (default 64)\n"
                "  --total-cap N        global queue capacity (default 1024)\n"
                "  --metrics            enable the obs metrics registry\n"

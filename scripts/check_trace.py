@@ -7,7 +7,8 @@ Checks, per (pid, tid) track:
   * timestamps and durations are non-negative integers;
   * 'X' (complete) spans are properly nested: sorted by (ts, -dur), every
     span must end no later than the enclosing span still open on its track
-    (structural balance -- a shard span cannot outlive its scan_all parent);
+    (structural balance -- a trial runs on one thread, so its attack
+    phases and scans must close inside its campaign/trial span);
   * the file-order event stream of each tid is ts-monotone (the tracer
     emits per-thread buffers in append order).
 

@@ -45,17 +45,18 @@ fi
 # buffers), the board fleet (failover + health tracking) and the campaign
 # service (worker threads + socket reactor + fair scheduler — the most
 # thread-shaped code in the repo), the countermeasure cracker (pooled
-# candidate scans + multi-threaded crack campaigns) and the device's
+# oracle chunks + multi-threaded crack campaigns) and the device's
 # parent-image cache (concurrent promotion and eviction), the crypto
 # primitives and the envelope's per-thread keystream and MAC caches, and the
 # FINDLUT scans (the engine reads chunks at computed offsets l + c*d), and
 # the run ledger's trial records and checkpoint resume, the probe-file
 # reader and its mutation sweep, and the campaign option checks — where
 # a sanitizer finding is most likely and the runs are cheap enough for CI.
-# smoke_exclude drops the two FINDLUT cases that take seconds even
-# uninstrumented.  The full run takes the whole tier-1 label.
+# smoke_exclude drops the FINDLUT cases that take seconds even
+# uninstrumented: the six randomized-equivalence cases and the noisy
+# voting pipeline.  The full run takes the whole tier-1 label.
 smoke_filter='^(FindLut|ScanEngine|ThreadPool|Parallel|ProbeCache|Retry|FaultyOracle|NoiseProfile|ProbeCacheGuard|AttackCheckpoint|ObsMode|Metrics|Trace|Orchestrator|ServiceProtocol|FairScheduler|JobStore|ServiceSocket|ServiceRestart|ServiceMetricsParity|ServiceDeadline|SimdDispatch|SimdLaneVec|SimdTranspose|FlatMap|ProbeCacheFlatMap|AdaptiveController|StaticController|AdaptivePipeline|AdaptiveCampaign|ControllerConfig|FleetOracleTest|FleetCampaign|DecoyHypothesis|Cracker|CrackCampaign|CrackService|ParentCache|Secure|Sha256|Hmac|Aes256|RunLedger|CampaignOptions)'
-smoke_exclude='^ScanEngine\.(RandomizedEquivalenceAcrossOffsetsAndOrders|NoisyVotingPipelineIdenticalAtOneAndEightScanThreads)$'
+smoke_exclude='^ScanEngine(/RandomizedEquivalence\.AcrossOffsetsAndOrders/.*|\.NoisyVotingPipelineIdenticalAtOneAndEightOracleThreads)$'
 
 status=0
 for san in "${sanitizers[@]}"; do

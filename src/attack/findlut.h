@@ -27,10 +27,6 @@
 #include "bitstream/lut_coding.h"
 #include "logic/truth_table.h"
 
-namespace sbm::runtime {
-class ThreadPool;
-}
-
 namespace sbm::attack {
 
 struct FindLutOptions {
@@ -41,13 +37,6 @@ struct FindLutOptions {
   /// uses (SLICEL, SLICEM).  Setting try_all_orders explores all r! = 24
   /// permutations exactly as the pseudo-code allows.
   bool try_all_orders = false;
-  /// Worker pool for sharding the byte-position scan.  Null runs serially;
-  /// results are identical either way (the scan is sharded by contiguous
-  /// byte range and shard outputs are concatenated in range order).
-  runtime::ThreadPool* pool = nullptr;
-  /// Minimum byte positions per shard when a pool is used — small scans are
-  /// not worth the fan-out.
-  size_t shard_grain = 1 << 14;
 };
 
 struct LutMatch {

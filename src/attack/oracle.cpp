@@ -99,8 +99,7 @@ std::vector<ProbeOutcome> DeviceOracle::run_batch(
               out[begin + lane] = run_one(bitstreams[begin + lane], words);
             }
           }
-        },
-        /*min_grain=*/1);
+        });
   }
   // Each lane was one paper-cost reconfiguration; account on the calling
   // thread after the barrier so runs_ never races.

@@ -76,7 +76,8 @@ class Oracle {
 /// bit-sliced batch device — chunks of at most 64 lanes use the scalar u64
 /// reference, wider chunks the 256/512-lane device of the active SIMD
 /// backend (simd::active_backend(); batch_width is clamped to its lane
-/// count per call).  Chunks shard across `pool` when given; results are
+/// count per call).  Chunks shard across `pool` when given, the one opt-in
+/// fan-out inside an attack (campaign trials pass none); results are
 /// bit-identical to the scalar path for any width/thread count/backend.
 class DeviceOracle : public Oracle {
  public:

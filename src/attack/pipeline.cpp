@@ -129,10 +129,10 @@ AttackResult Attack::execute() {
 }
 
 bool Attack::phase_zpath(AttackResult& result) {
-  // Scan the keystream-path family (one compiled pattern index, byte ranges
-  // sharded across the pool when one is configured) and sort candidates by
-  // match count, largest first (Section VI-C: "starting from the ones with
-  // the largest number of matches n").
+  // Scan the keystream-path family (one compiled pattern index, one pass over
+  // the bitstream) and sort candidates by match count, largest first
+  // (Section VI-C: "starting from the ones with the largest number of
+  // matches n").
   std::vector<FamilyCount> counts = scan_family(base_, keystream_family(), config_.find);
   std::sort(counts.begin(), counts.end(),
             [](const FamilyCount& a, const FamilyCount& b) { return a.count() > b.count(); });
@@ -279,10 +279,10 @@ bool Attack::phase_feedback(AttackResult& result) {
 
   // Stage 1 — precise probes on family matches: the candidate says exactly
   // which stored variables form the hypothesized XOR group; cofactor them
-  // all to 0 (the generalization of the paper's Eq. (1)).  The family scan
-  // fans out across the pool; the probes batch per candidate — each match
-  // list is planned up front, probed in 64-lane batches, and classified in
-  // match order, so the outcome is independent of batch width and threads.
+  // all to 0 (the generalization of the paper's Eq. (1)).  The probes batch
+  // per candidate — each match list is planned up front, probed in 64-lane
+  // batches, and classified in match order, so the outcome is independent
+  // of batch width and threads.
   const std::vector<Candidate>& fb_family = feedback_family();
   const std::vector<FamilyCount> fb_counts = scan_family(base_beta, fb_family, config_.find);
   for (size_t ci = 0; ci < fb_counts.size(); ++ci) {

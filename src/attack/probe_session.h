@@ -85,9 +85,8 @@ std::optional<std::vector<SavedProbe>> probes_from_json(std::string_view json);
 struct ProbeSessionConfig {
   size_t words = 16;  // keystream words per probe (the paper's w)
   CrcHandling crc = CrcHandling::kDisable;
-  /// FINDLUT geometry and pool.  `find.pool` also shards every family scan;
-  /// results are identical for any thread count (see src/runtime/parallel.h).
-  /// with_patches writes LUT sub-vectors at `find.offset_d`.
+  /// FINDLUT geometry; with_patches writes LUT sub-vectors at
+  /// `find.offset_d`.
   FindLutOptions find;
   /// The caller's probe cache, kept across runs as their checkpoint; null =
   /// the session uses one it owns.  Either way every probe is looked up
@@ -152,7 +151,7 @@ class ProbeSession {
   /// Per-session confirmation controller: its state (including the adaptive
   /// noise estimate) is instance-local and mutated only on the calling
   /// thread, keeping controller decisions a pure function of the read
-  /// sequence for any pool size.
+  /// sequence.
   std::unique_ptr<runtime::ProbeController> controller_;
   /// Every counter but physical_runs and migration_runs, which ledger()
   /// derives from the oracle's counters and these construction-time marks.

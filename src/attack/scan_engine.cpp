@@ -8,7 +8,6 @@
 #include "common/flat_map.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/parallel.h"
 
 namespace sbm::attack {
 
@@ -82,14 +81,13 @@ PatternIndex::PatternIndex(std::span<const TruthTable6> functions, bool try_all_
   }
 }
 
-void PatternIndex::scan_range(std::span<const u8> bitstream, size_t offset_d, size_t l_begin,
-                              size_t l_end, std::vector<std::vector<LutMatch>>& out) const {
+void PatternIndex::scan(std::span<const u8> bitstream, size_t offset_d,
+                        std::vector<std::vector<LutMatch>>& out) const {
   const size_t d = offset_d;
   if (bitstream.size() < (kSubVectors - 1) * d + kChunkBytes) return;
-  const size_t last = bitstream.size() - (kSubVectors - 1) * d - kChunkBytes;
-  l_end = std::min(l_end, last + 1);
+  const size_t positions = bitstream.size() - (kSubVectors - 1) * d - kChunkBytes + 1;
   const u8* bytes = bitstream.data();
-  for (size_t l = l_begin; l < l_end; ++l) {
+  for (size_t l = 0; l < positions; ++l) {
     // Prefilter: one 16-bit load + one bitmap probe per byte position.
     const u32 first = bytes[l] | (u32{bytes[l + 1]} << 8);
     if (((bucket_nonempty_[first >> 6] >> (first & 63)) & 1) == 0) continue;
@@ -126,30 +124,7 @@ std::vector<std::vector<LutMatch>> scan_all(std::span<const u8> bitstream,
       obs::MetricsRegistry::global().counter("scan.positions_scanned");
   scanned.add(positions);
 
-  const size_t shards = runtime::shard_count(options.pool, positions, options.shard_grain);
-  span.arg("shards", shards);
-  if (shards <= 1) {
-    index.scan_range(bitstream, d, 0, positions, out);
-    return out;
-  }
-  // Contiguous byte-range shards; concatenating shard outputs per candidate
-  // in range order reproduces the serial ascending-l order exactly.
-  auto per_shard = runtime::parallel_map(
-      options.pool, shards,
-      [&](size_t s) {
-        const size_t begin = positions * s / shards;
-        const size_t end = positions * (s + 1) / shards;
-        obs::Span shard_span("scan", "scan_shard", "begin", begin, "end", end);
-        std::vector<std::vector<LutMatch>> part(index.candidates());
-        index.scan_range(bitstream, d, begin, end, part);
-        return part;
-      },
-      /*min_grain=*/1);
-  for (const auto& part : per_shard) {
-    for (size_t c = 0; c < part.size(); ++c) {
-      out[c].insert(out[c].end(), part[c].begin(), part[c].end());
-    }
-  }
+  index.scan(bitstream, d, out);
   return out;
 }
 

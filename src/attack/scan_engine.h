@@ -42,7 +42,7 @@ class PatternIndex {
   /// Compiles the P classes of `functions` (one candidate per element, in
   /// order) against the device sub-vector orders, or all 24 orders when
   /// `try_all_orders` is set.  Immutable after construction: one instance is
-  /// shared read-only by concurrent range scans.
+  /// shared read-only by concurrent scans.
   PatternIndex(std::span<const logic::TruthTable6> functions, bool try_all_orders);
 
   size_t candidates() const { return num_candidates_; }
@@ -50,12 +50,11 @@ class PatternIndex {
   /// Compiled (pattern, order) memory images — the index working-set size.
   size_t entry_count() const { return entries_.size(); }
 
-  /// Scans byte positions [l_begin, l_end) (clamped to the valid range for
-  /// `offset_d`) and appends candidate c's matches to out[c], ascending l.
-  /// out must have at least candidates() elements.  Equivalent to scanning
-  /// the same range once per candidate.
-  void scan_range(std::span<const u8> bitstream, size_t offset_d, size_t l_begin, size_t l_end,
-                  std::vector<std::vector<LutMatch>>& out) const;
+  /// Scans every byte position valid for `offset_d` and appends candidate
+  /// c's matches to out[c], ascending l.  out must have at least
+  /// candidates() elements.  Equivalent to one pass per candidate.
+  void scan(std::span<const u8> bitstream, size_t offset_d,
+            std::vector<std::vector<LutMatch>>& out) const;
 
  private:
   struct Pattern {
@@ -78,11 +77,10 @@ class PatternIndex {
   std::vector<u64> bucket_nonempty_;  // 64K-bit bucket occupancy (8KB prefilter)
 };
 
-/// Scans the whole bitstream through `index`, sharding contiguous byte
-/// ranges over options.pool; find_lut and scan_family both run here.
-/// Element c of the result lists candidate c's matches in ascending-l order,
-/// identical for any thread count.  options.try_all_orders must match the
-/// index.
+/// Scans the whole bitstream through `index` on the calling thread;
+/// find_lut and scan_family both run here.  Element c of the result lists
+/// candidate c's matches in ascending-l order.  options.try_all_orders must
+/// match the index.
 std::vector<std::vector<LutMatch>> scan_all(std::span<const u8> bitstream,
                                             const PatternIndex& index,
                                             const FindLutOptions& options);

@@ -14,7 +14,6 @@
 #include "fpga/system.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/thread_pool.h"
 #include "simd/backend.h"
 
 namespace sbm::campaign {
@@ -38,7 +37,7 @@ std::string options_error(const CampaignOptions& options) {
   return {};
 }
 
-TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::ThreadPool* pool) {
+TrialOutcome run_trial(const CampaignOptions& options, size_t index) {
   const auto start = std::chrono::steady_clock::now();
   obs::Span span("campaign", "trial", "index", index);
   TrialOutcome out;
@@ -64,7 +63,7 @@ TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::Th
   const fpga::System sys = fpga::build_system(sys_opt);
   out.lut_sites = sys.placed.phys.size();
 
-  attack::DeviceOracle device(sys, iv, pool, options.batch_width);
+  attack::DeviceOracle device(sys, iv, nullptr, options.batch_width);
   // Non-quiet noise: wrap the device in the fault model (noise stream
   // re-seeded per trial so trials stay independent) and confirm every probe
   // by agreement voting.  The logical metrics are unchanged by construction.
@@ -84,7 +83,7 @@ TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::Th
     fleet_opt.noise = noise;
     fleet_opt.noise_factors = options.fleet_noise_factors;
     fleet_opt.hedge = options.fleet_hedge;
-    fleet.emplace(sys, iv, fleet_opt, pool, options.batch_width);
+    fleet.emplace(sys, iv, fleet_opt, options.batch_width);
   }
   attack::Oracle& oracle =
       fleet ? static_cast<attack::Oracle&>(*fleet)
@@ -95,7 +94,6 @@ TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::Th
   // layer re-demanding the timeouts a dying board left.
   attack::ProbeSessionConfig policy;
   policy.words = options.words;
-  policy.find.pool = pool;
   if (noisy) {
     policy.retry = runtime::RetryPolicy::voting(3);
   } else if (fleet) {

@@ -12,11 +12,11 @@
 // and physical-layer retry accounting is a pure function of CampaignOptions
 // — trials derive their randomness from (options.seed, trial index) only,
 // noise streams from (noise.seed, trial seed, physical run index) only, and
-// the runtime layer guarantees scan results are independent of the thread
-// count.  fingerprint() digests exactly the timing-free logical fields, so
-// `fingerprint(threads=1) == fingerprint(threads=N)` is the subsystem's
-// contract — including across checkpoint/resume — and is enforced by
-// tests/test_campaign.cpp.
+// each trial runs on one thread: the pool fans out trials and nothing
+// inside them.  fingerprint() digests exactly the timing-free logical
+// fields, so `fingerprint(threads=1) == fingerprint(threads=N)` is the
+// subsystem's contract — including across checkpoint/resume — and is
+// enforced by tests/test_campaign.cpp.
 //
 // Cost: each trial's probe session owns its probe cache, so a trial never
 // reconfigures a byte-identical image twice; its oracle_runs is the
@@ -38,10 +38,6 @@
 
 namespace sbm {
 class JsonWriter;
-}
-
-namespace sbm::runtime {
-class ThreadPool;
 }
 
 namespace sbm::campaign {
@@ -137,8 +133,8 @@ struct TrialOutcome : runtime::RunLedger {
   std::vector<std::pair<std::string, size_t>> phase_runs;
   /// Device work through the victim's snapshot (fpga::ConfigureStats):
   /// LUT sites decoded, parent images promoted and parent-cache hits.
-  /// Informational — excluded from fingerprint(); with a pool the parent a
-  /// chunk finds, and so these counts, may depend on scheduling.
+  /// Informational — excluded from fingerprint().  A trial runs on one
+  /// thread, so these counts do not depend on the campaign's thread count.
   size_t sites_decoded = 0;
   size_t parent_promotions = 0;
   size_t parent_hits = 0;
@@ -235,8 +231,8 @@ inline constexpr unsigned kMaxThreads = 1024;
 /// factor >= 0, kind "attack" or "crack".
 std::string options_error(const CampaignOptions& options);
 
-/// Runs one trial (exposed for tests).  `pool` may be null (serial scans).
-TrialOutcome run_trial(const CampaignOptions& options, size_t index, runtime::ThreadPool* pool);
+/// Runs one trial on the calling thread (exposed for tests).
+TrialOutcome run_trial(const CampaignOptions& options, size_t index);
 
 /// Runs the whole campaign on an internally-owned pool of options.threads.
 CampaignReport run_campaign(const CampaignOptions& options);

@@ -137,9 +137,6 @@ void write_options(JsonWriter& w, const CampaignOptions& options) {
       .field("kind", options.kind)
       .field("equalized", options.equalized)
       .field("words", options.words)
-      // Trials always share the pool with their FINDLUT scans; the key
-      // stays so readers of earlier reports find it.
-      .field("scan_parallel", true)
       .field("batch_width", u64{options.batch_width})
       .field("controller", runtime::controller_kind_name(options.controller))
       .field("fleet_size", u64{options.fleet_size})

@@ -53,8 +53,6 @@ CampaignReport Orchestrator::run(const CampaignOptions& options, const Hooks& ho
     pool = &*owned;
   }
   report.threads_used = pool != nullptr ? pool->concurrency() : 1;
-  runtime::ThreadPool* fan_pool = report.threads_used > 1 ? pool : nullptr;
-  runtime::ThreadPool* scan_pool = fan_pool;
 
   // Compile the shared pattern indexes of the standard scan families once,
   // up front: trials fanning out below hit the cache instead of racing to
@@ -74,19 +72,20 @@ CampaignReport Orchestrator::run(const CampaignOptions& options, const Hooks& ho
     if (hooks.on_trial) hooks.on_trial(out, completed, options.trials);
   };
 
-  // Trial-level fan-out; parallel_map keeps the outcomes in trial order.
+  // Trial-level fan-out, the only one: each trial runs on one pool thread.
+  // parallel_map keeps the outcomes in trial order.
   // `ran[i]` clears when trial i was skipped by cancellation — those slots
   // are compacted out below so a cancelled report carries only real trials.
   std::vector<char> ran(options.trials, 1);
   report.trials = runtime::parallel_map(
-      fan_pool, options.trials,
+      pool, options.trials,
       [&](size_t i) {
         if (have[i]) return resumed[i];
         if (hooks.cancel != nullptr && hooks.cancel->load(std::memory_order_relaxed)) {
           ran[i] = 0;
           return TrialOutcome{};
         }
-        TrialOutcome out = trial(options, i, scan_pool);
+        TrialOutcome out = trial(options, i);
         record(out);
         if (options.verbose) {
           std::printf("[campaign] trial %zu/%zu: %s%s (%zu oracle runs, %zu cache hits, %.1fs)\n",
@@ -95,8 +94,7 @@ CampaignReport Orchestrator::run(const CampaignOptions& options, const Hooks& ho
                       out.cache_hits, out.wall_seconds);
         }
         return out;
-      },
-      /*min_grain=*/1);
+      });
 
   size_t kept = 0;
   for (size_t i = 0; i < report.trials.size(); ++i) {

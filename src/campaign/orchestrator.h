@@ -27,14 +27,17 @@
 
 #include "campaign/campaign.h"
 
+namespace sbm::runtime {
+class ThreadPool;
+}
+
 namespace sbm::campaign {
 
 class Orchestrator {
  public:
   /// Replacement trial body; the default is run_trial.  Must obey the same
   /// purity rule: the outcome derives from (options, index) only.
-  using TrialFn =
-      std::function<TrialOutcome(const CampaignOptions&, size_t index, runtime::ThreadPool*)>;
+  using TrialFn = std::function<TrialOutcome(const CampaignOptions&, size_t index)>;
 
   struct Hooks {
     /// Polled before each not-yet-run trial; once true, remaining trials are

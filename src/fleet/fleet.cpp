@@ -49,9 +49,9 @@ const char* board_state_name(BoardState s) {
 }
 
 FleetOracle::Board::Board(const fpga::System& system, const snow3g::Iv& iv,
-                          faultsim::NoiseProfile profile, runtime::ThreadPool* pool,
-                          unsigned batch_width, unsigned board_id)
-    : device(system, iv, pool, batch_width), faulty(device, profile), id(board_id) {
+                          faultsim::NoiseProfile profile, unsigned batch_width,
+                          unsigned board_id)
+    : device(system, iv, nullptr, batch_width), faulty(device, profile), id(board_id) {
   const std::string prefix = "fleet.board" + std::to_string(board_id);
   auto& reg = obs::MetricsRegistry::global();
   g_error_ppm = &reg.gauge(prefix + ".error_ppm");
@@ -59,8 +59,7 @@ FleetOracle::Board::Board(const fpga::System& system, const snow3g::Iv& iv,
 }
 
 FleetOracle::FleetOracle(const fpga::System& system, const snow3g::Iv& iv,
-                         FleetOptions options, runtime::ThreadPool* pool,
-                         unsigned batch_width)
+                         FleetOptions options, unsigned batch_width)
     : options_(std::move(options)) {
   const unsigned n = options_.boards == 0 ? 1 : options_.boards;
   boards_.reserve(n);
@@ -73,7 +72,7 @@ FleetOracle::FleetOracle(const fpga::System& system, const snow3g::Iv& iv,
     faultsim::NoiseProfile profile = options_.noise.scaled(factor);
     profile.seed = mix64(options_.noise.seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
     boards_.push_back(
-        std::make_unique<Board>(system, iv, profile, pool, batch_width, i));
+        std::make_unique<Board>(system, iv, profile, batch_width, i));
     publish_gauges(*boards_.back());
   }
 }

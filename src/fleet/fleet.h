@@ -91,7 +91,6 @@ inline constexpr unsigned kPresumedDeadAfter = 4;
 class FleetOracle : public attack::Oracle {
  public:
   FleetOracle(const fpga::System& system, const snow3g::Iv& iv, FleetOptions options,
-              runtime::ThreadPool* pool = nullptr,
               unsigned batch_width = simd::kMaxLanes);
 
   runtime::ProbeOutcome run(std::span<const u8> bitstream, size_t words) override;
@@ -124,8 +123,7 @@ class FleetOracle : public attack::Oracle {
  private:
   struct Board {
     Board(const fpga::System& system, const snow3g::Iv& iv,
-          faultsim::NoiseProfile profile, runtime::ThreadPool* pool,
-          unsigned batch_width, unsigned id);
+          faultsim::NoiseProfile profile, unsigned batch_width, unsigned id);
     attack::DeviceOracle device;
     faultsim::FaultyOracle faulty;
     BoardHealth health;

@@ -1,7 +1,7 @@
 // Span-based tracer emitting Chrome trace_event JSON.
 //
 // The output loads directly in Perfetto / chrome://tracing: one "X"
-// (complete) event per span — attack phases, scan_family shards,
+// (complete) event per span — attack phases, family scans,
 // batch-oracle chunks, campaign trials — and "i" (instant) events for
 // point-in-time facts like thread-pool submissions and steal/help-run task
 // claims.  Timestamps are microseconds on the steady clock, relative to the

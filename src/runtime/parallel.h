@@ -7,6 +7,7 @@
 // change is wall-clock time.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <type_traits>
@@ -19,11 +20,9 @@ namespace sbm::runtime {
 
 /// Number of contiguous index shards used for `n` items: enough to balance
 /// load (4 per thread) without drowning in per-task overhead.
-inline size_t shard_count(const ThreadPool* pool, size_t n, size_t min_grain = 1) {
+inline size_t shard_count(const ThreadPool* pool, size_t n) {
   if (pool == nullptr || pool->concurrency() <= 1 || n <= 1) return 1;
-  const size_t by_grain = min_grain == 0 ? n : (n + min_grain - 1) / min_grain;
-  const size_t by_threads = size_t{pool->concurrency()} * 4;
-  return std::max<size_t>(1, std::min({n, by_grain, by_threads}));
+  return std::min(n, size_t{pool->concurrency()} * 4);
 }
 
 /// Number of fixed-size chunks covering [0, n): ceil(n / chunk).  Chunk c
@@ -38,8 +37,8 @@ inline size_t chunk_count(size_t n, size_t chunk) {
 /// Calls fn(i) for every i in [0, n).  fn must be safe to call concurrently
 /// for distinct i.
 template <typename Fn>
-void parallel_for(ThreadPool* pool, size_t n, Fn&& fn, size_t min_grain = 1) {
-  const size_t shards = shard_count(pool, n, min_grain);
+void parallel_for(ThreadPool* pool, size_t n, Fn&& fn) {
+  const size_t shards = shard_count(pool, n);
   if (shards <= 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
@@ -58,18 +57,17 @@ void parallel_for(ThreadPool* pool, size_t n, Fn&& fn, size_t min_grain = 1) {
 
 /// Maps fn over [0, n) and returns the results in index order.
 template <typename Fn>
-auto parallel_map(ThreadPool* pool, size_t n, Fn&& fn, size_t min_grain = 1)
+auto parallel_map(ThreadPool* pool, size_t n, Fn&& fn)
     -> std::vector<std::decay_t<std::invoke_result_t<Fn&, size_t>>> {
   using R = std::decay_t<std::invoke_result_t<Fn&, size_t>>;
-  if (shard_count(pool, n, min_grain) <= 1) {
+  if (shard_count(pool, n) <= 1) {
     std::vector<R> out;
     out.reserve(n);
     for (size_t i = 0; i < n; ++i) out.push_back(fn(i));
     return out;
   }
   std::vector<std::optional<R>> slots(n);
-  parallel_for(
-      pool, n, [&](size_t i) { slots[i].emplace(fn(i)); }, min_grain);
+  parallel_for(pool, n, [&](size_t i) { slots[i].emplace(fn(i)); });
   std::vector<R> out;
   out.reserve(n);
   for (auto& s : slots) out.push_back(std::move(*s));

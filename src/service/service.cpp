@@ -415,8 +415,9 @@ void CampaignService::run_job(const std::shared_ptr<Job>& job) {
   };
   if (spec.mode == JobMode::kSynthetic) {
     const u32 sleep_ms = spec.synthetic_trial_ms;
-    hooks.trial_fn = [sleep_ms](const campaign::CampaignOptions& o, size_t i,
-                                runtime::ThreadPool*) { return synthetic_trial(o, i, sleep_ms); };
+    hooks.trial_fn = [sleep_ms](const campaign::CampaignOptions& o, size_t i) {
+      return synthetic_trial(o, i, sleep_ms);
+    };
   }
 
   campaign::CampaignReport report;

@@ -15,10 +15,11 @@
 // fingerprint is identical to an uninterrupted run (enforced by
 // tests/test_service.cpp).
 //
-// Execution: one shared runtime::ThreadPool serves every job's trial/scan
-// fan-out; `workers` job slots pull from the per-tenant weighted fair
-// scheduler, so one giant campaign cannot starve other tenants and the
-// daemon's concurrency is bounded regardless of how many jobs are queued.
+// Execution: one shared runtime::ThreadPool serves every job's trial
+// fan-out (each trial runs on one pool thread); `workers` job slots pull
+// from the per-tenant weighted fair scheduler, so one giant campaign cannot
+// starve other tenants and the daemon's concurrency is bounded regardless of
+// how many jobs are queued.
 #pragma once
 
 #include <atomic>
@@ -45,7 +46,7 @@ struct ServiceOptions {
   std::string store_dir;
   /// Concurrent job slots.
   size_t workers = 1;
-  /// Threads in the shared trial/scan pool; 0 = hardware concurrency.
+  /// Threads in the shared trial pool; 0 = hardware concurrency.
   unsigned pool_threads = 0;
   SchedulerLimits limits{};
   bool verbose = false;

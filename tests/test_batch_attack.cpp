@@ -34,7 +34,6 @@ attack::AttackResult run_attack(unsigned batch_width, runtime::ThreadPool* pool)
   attack::DeviceOracle oracle(sys, kHostIv, pool, batch_width);
   attack::PipelineConfig cfg;
   cfg.iv = kHostIv;
-  cfg.find.pool = pool;
   attack::Attack attack(oracle, sys.golden.bytes, cfg);
   return attack.execute();
 }

@@ -261,7 +261,6 @@ CrackResult crack_victim(const fpga::System& sys, runtime::ThreadPool* pool,
   DeviceOracle oracle(sys, kIv, pool);
   CrackerConfig cfg;
   cfg.cache = cache;
-  if (pool != nullptr) cfg.find.pool = pool;
   Cracker cracker(oracle, sys.golden.bytes, cfg);
   return cracker.execute();
 }
@@ -419,13 +418,13 @@ TEST(CrackCampaign, EqualizedTrialExpectsAmbiguityAtHigherCost) {
   campaign::CampaignOptions opt;
   opt.kind = "crack";
   opt.verbose = false;
-  const campaign::TrialOutcome plain = campaign::run_trial(opt, 0, nullptr);
+  const campaign::TrialOutcome plain = campaign::run_trial(opt, 0);
   ASSERT_TRUE(plain.crack);
   EXPECT_TRUE(plain.expected);
   EXPECT_TRUE(plain.crack_unique);
 
   opt.equalized = true;
-  const campaign::TrialOutcome eq = campaign::run_trial(opt, 0, nullptr);
+  const campaign::TrialOutcome eq = campaign::run_trial(opt, 0);
   ASSERT_TRUE(eq.crack);
   EXPECT_TRUE(eq.expected);
   EXPECT_TRUE(eq.crack_proven_ambiguous);

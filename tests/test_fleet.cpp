@@ -81,7 +81,7 @@ TEST(FleetOracleTest, QuietFleetIsBitIdenticalToASingleBoard) {
 
   FleetOptions opt;
   opt.boards = 4;  // default (quiet) noise profile on every board
-  FleetOracle fleetd(sys, kHostIv, opt, nullptr, 64);
+  FleetOracle fleetd(sys, kHostIv, opt, 64);
   const auto got = fleetd.run_batch(probes, 8);
 
   ASSERT_EQ(got.size(), want.size());
@@ -110,7 +110,7 @@ TEST(FleetOracleTest, BoardDeathMigratesMidPhaseWithBalancedLedger) {
 
   // The same profile on one board aborts the attack outright.
   {
-    FleetOracle lone(sys, kHostIv, board0_dies(1), nullptr, 64);
+    FleetOracle lone(sys, kHostIv, board0_dies(1), 64);
     runtime::ProbeCache cache;
     attack::PipelineConfig cfg;
     cfg.iv = kHostIv;
@@ -123,7 +123,7 @@ TEST(FleetOracleTest, BoardDeathMigratesMidPhaseWithBalancedLedger) {
     EXPECT_EQ(res.abort_error, ProbeError::kDead);
   }
 
-  FleetOracle fleetd(sys, kHostIv, board0_dies(4), nullptr, 64);
+  FleetOracle fleetd(sys, kHostIv, board0_dies(4), 64);
   runtime::ProbeCache cache;
   attack::PipelineConfig cfg;
   cfg.iv = kHostIv;
@@ -171,7 +171,7 @@ TEST(FleetOracleTest, AllBoardsDeadEscalatesLikeASingleDeadBoard) {
   opt.noise.seed = 0xdead2;
   opt.noise_factors = {1e9, 1e9};  // both boards die on their first run
 
-  FleetOracle fleetd(sys, kHostIv, opt, nullptr, 64);
+  FleetOracle fleetd(sys, kHostIv, opt, 64);
 
   // One batch wide enough to cross the presumed-dead threshold on both
   // boards: board 0 times out the whole chunk and is presumed dead, the
@@ -213,7 +213,7 @@ TEST(FleetOracleTest, DegradedBoardIsQuarantinedAndStopsServing) {
   opt.noise.seed = 0x9a41;
   opt.noise_factors = {2.0, 0.0};  // board 0 truncates 60% of reads
 
-  FleetOracle fleetd(sys, kHostIv, opt, nullptr, 64);
+  FleetOracle fleetd(sys, kHostIv, opt, 64);
   std::vector<std::vector<u8>> batch(64, sys.golden.bytes);
 
   // Batch 1 lands on board 0; by its last observation the board has the
@@ -244,7 +244,7 @@ TEST(FleetOracleTest, HedgedProbesRescueStragglerTimeouts) {
   opt.noise.seed = 0x8ed9e;
   opt.noise_factors = {2.0, 0.0};  // board 0 times out 90% of reads
 
-  FleetOracle fleetd(sys, kHostIv, opt, nullptr, 64);
+  FleetOracle fleetd(sys, kHostIv, opt, 64);
   for (int i = 0; i < 12; ++i) {
     // Single probes are ragged tails by definition, so each one is hedged on
     // the quiet spare; the merge must always surface a usable answer.
@@ -266,7 +266,7 @@ TEST(FleetOracleTest, LogicalResultIsInvariantUnderSchedulingRotation) {
   auto run_with_doomed = [&](unsigned doomed) {
     FleetOptions opt = board0_dies(4);
     std::swap(opt.noise_factors[0], opt.noise_factors[doomed]);
-    FleetOracle fleetd(sys, kHostIv, opt, nullptr, 64);
+    FleetOracle fleetd(sys, kHostIv, opt, 64);
     runtime::ProbeCache cache;
     attack::PipelineConfig cfg;
     cfg.iv = kHostIv;

@@ -20,7 +20,7 @@ namespace sbm::campaign {
 namespace {
 
 /// Pure function of (options, index) — the TrialFn contract.
-TrialOutcome fake_trial(const CampaignOptions& options, size_t index, runtime::ThreadPool*) {
+TrialOutcome fake_trial(const CampaignOptions& options, size_t index) {
   TrialOutcome t;
   t.index = index;
   t.trial_seed = options.seed * 1000003ull + index * 7919;

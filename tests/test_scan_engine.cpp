@@ -1,11 +1,12 @@
 // One-pass multi-pattern scan engine (attack/scan_engine.h) tests:
 // randomized equivalence against Algorithm 1 (find_lut_naive) and one-pass-
 // per-candidate scans, the match-by-match output contract, Mark(l) and
-// bucket-collision semantics, thread invariance, and index caching.
+// bucket-collision semantics, recall on a large buffer, and index caching.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
+#include <ostream>
 
 #include "attack/findlut.h"
 #include "attack/pipeline.h"
@@ -71,34 +72,55 @@ void expect_match(const FamilyCount& fc, const LutMatch& expected) {
   EXPECT_EQ(*it, expected) << fc.candidate.name << " at " << expected.byte_index;
 }
 
-TEST(ScanEngine, RandomizedEquivalenceAcrossOffsetsAndOrders) {
+/// One (offset d, order set) case of the randomized equivalence check.  The
+/// cases share one Rng(99) seed stream, three draws each, in `index` order.
+struct EquivalenceCase {
+  size_t offset_d;
+  bool all_orders;
+  unsigned index;
+};
+
+// Names each case (and so its ctest entry) "d<offset>_<order set>".
+void PrintTo(const EquivalenceCase& c, std::ostream* os) {
+  *os << "d" << c.offset_d << (c.all_orders ? "_all_orders" : "_device_orders");
+}
+
+class RandomizedEquivalence : public ::testing::TestWithParam<EquivalenceCase> {};
+
+TEST_P(RandomizedEquivalence, AcrossOffsetsAndOrders) {
+  const EquivalenceCase c = GetParam();
   const auto family = small_family();
   Rng seeds(99);
-  for (const size_t offset_d : {16, 101, 404}) {
-    for (const bool all_orders : {false, true}) {
-      FindLutOptions opt;
-      opt.offset_d = offset_d;
-      opt.try_all_orders = all_orders;
-      for (int trial = 0; trial < 3; ++trial) {
-        auto bytes = random_buffer(4096, seeds.next_u64());
-        // Plant every candidate once, at varying permutations and orders.
-        for (size_t i = 0; i < family.size(); ++i) {
-          const auto& order = all_orders ? all_chunk_orders()[(i * 7 + trial) % 24]
-                                         : bitstream::device_chunk_orders()[i % 2];
-          bitstream::write_lut_init(
-              bytes, 100 + i * 800, offset_d, order,
-              family[i].function.permuted(logic::all_permutations6()[(i * 97 + trial) % 720])
-                  .bits());
-        }
-        const auto engine = scan_family(bytes, family, opt);
-        expect_engine_output(bytes, family, engine, opt, /*naive=*/true);
-        for (size_t c = 0; c < family.size(); ++c) {
-          EXPECT_TRUE(match_positions(engine[c].matches).count(100 + c * 800)) << family[c].name;
-        }
-      }
+  for (unsigned skip = 0; skip < 3 * c.index; ++skip) seeds.next_u64();
+  FindLutOptions opt;
+  opt.offset_d = c.offset_d;
+  opt.try_all_orders = c.all_orders;
+  for (int trial = 0; trial < 3; ++trial) {
+    auto bytes = random_buffer(4096, seeds.next_u64());
+    // Plant every candidate once, at varying permutations and orders.
+    for (size_t i = 0; i < family.size(); ++i) {
+      const auto& order = c.all_orders ? all_chunk_orders()[(i * 7 + trial) % 24]
+                                       : bitstream::device_chunk_orders()[i % 2];
+      bitstream::write_lut_init(
+          bytes, 100 + i * 800, c.offset_d, order,
+          family[i].function.permuted(logic::all_permutations6()[(i * 97 + trial) % 720])
+              .bits());
+    }
+    const auto engine = scan_family(bytes, family, opt);
+    expect_engine_output(bytes, family, engine, opt, /*naive=*/true);
+    for (size_t f = 0; f < family.size(); ++f) {
+      EXPECT_TRUE(match_positions(engine[f].matches).count(100 + f * 800)) << family[f].name;
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(ScanEngine, RandomizedEquivalence,
+                         ::testing::Values(EquivalenceCase{16, false, 0},
+                                           EquivalenceCase{16, true, 1},
+                                           EquivalenceCase{101, false, 2},
+                                           EquivalenceCase{101, true, 3},
+                                           EquivalenceCase{404, false, 4},
+                                           EquivalenceCase{404, true, 5}));
 
 TEST(ScanEngine, OverlappingAndAdjacentMatches) {
   // Matches whose 4-chunk windows interleave (adjacent even byte positions
@@ -198,31 +220,21 @@ TEST(ScanEngine, MarkSemanticsLowestOrderWins) {
   expect_match(engine[0], {16, x6, logic::all_permutations6()[0], all_chunk_orders()[2]});
 }
 
-TEST(ScanEngine, ThreadCountInvariance) {
-  // 1-thread and 8-thread scans over the pool must be bit-identical; the
-  // serial scan satisfies the contract and finds every planted site.
+TEST(ScanEngine, LargeBufferContractAndRecall) {
+  // On a 64 KiB buffer the scan satisfies the contract and finds every
+  // planted site.
   const auto family = small_family();
   auto bytes = random_buffer(1 << 16, 1234);
   for (size_t i = 0; i < family.size(); ++i) {
     bitstream::write_lut_init(bytes, 997 * (i + 1), 404, bitstream::device_chunk_orders()[i % 2],
                               family[i].function.bits());
   }
-  FindLutOptions serial_opt;
-  serial_opt.offset_d = 404;
-  serial_opt.shard_grain = 1 << 10;  // force real sharding on a 64 KiB buffer
-  const auto serial = scan_family(bytes, family, serial_opt);
-  expect_engine_output(bytes, family, serial, serial_opt, /*naive=*/false);
+  FindLutOptions opt;
+  opt.offset_d = 404;
+  const auto engine = scan_family(bytes, family, opt);
+  expect_engine_output(bytes, family, engine, opt, /*naive=*/false);
   for (size_t i = 0; i < family.size(); ++i) {
-    EXPECT_TRUE(match_positions(serial[i].matches).count(997 * (i + 1))) << family[i].name;
-  }
-
-  runtime::ThreadPool pool(8);
-  FindLutOptions pooled_opt = serial_opt;
-  pooled_opt.pool = &pool;
-  const auto pooled = scan_family(bytes, family, pooled_opt);
-  ASSERT_EQ(pooled.size(), serial.size());
-  for (size_t c = 0; c < serial.size(); ++c) {
-    EXPECT_EQ(pooled[c].matches, serial[c].matches) << family[c].name;
+    EXPECT_TRUE(match_positions(engine[i].matches).count(997 * (i + 1))) << family[i].name;
   }
 }
 
@@ -256,8 +268,8 @@ TEST(ScanEngine, IndexCacheReusesCompiledIndexes) {
 // The scan engine inside a noisy end-to-end attack — randomized victim
 // placement, FaultyOracle noise, voting(3) retries — must produce the same
 // logical AttackResult, and the same physical-run ledger, whether its
-// FINDLUT scans run serially or sharded across 8 worker threads.
-TEST(ScanEngine, NoisyVotingPipelineIdenticalAtOneAndEightScanThreads) {
+// oracle runs serially or shards its chunks across 8 worker threads.
+TEST(ScanEngine, NoisyVotingPipelineIdenticalAtOneAndEightOracleThreads) {
   Rng rng(0xd1ff);
   fpga::SystemOptions sys_opt;
   sys_opt.key = {rng.next_u32(), rng.next_u32(), rng.next_u32(), rng.next_u32()};
@@ -280,7 +292,6 @@ TEST(ScanEngine, NoisyVotingPipelineIdenticalAtOneAndEightScanThreads) {
     cfg.iv = iv;
     cfg.cache = &cache;
     cfg.retry = runtime::RetryPolicy::voting(3);
-    cfg.find.pool = shared;
     Attack attack(faulty, sys.golden.bytes, cfg);
     const AttackResult res = attack.execute();
 

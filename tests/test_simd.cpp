@@ -522,7 +522,6 @@ attack::AttackResult run_attack(runtime::ThreadPool* pool) {
   attack::PipelineConfig cfg;
   cfg.iv = kHostIv;
   cfg.cache = &cache;
-  cfg.find.pool = pool;
   attack::Attack attack(oracle, sys.golden.bytes, cfg);
   return attack.execute();
 }
