@@ -116,13 +116,15 @@ struct CleanRun {
   size_t trace_events = 0;  // obs-on run only
 };
 
-/// The runtime configuration: probe cache + SIMD-wide bit-sliced batches
-/// under the active backend, on one thread, or with the oracle's chunks
-/// offered to `pool` (the scans stay on the calling thread).  With `samples`
-/// the device is wrapped in a SampleRecorder.
-CleanRun run_clean(runtime::ThreadPool* pool, std::vector<Sample>* samples = nullptr) {
+/// The runtime configuration: probe cache + bit-sliced batches of up to
+/// `width` lanes (the default runs the active backend's widest device, 64
+/// the u64 one), on one thread, or with the oracle's chunks offered to
+/// `pool` (the scans stay on the calling thread).  With `samples` the device
+/// is wrapped in a SampleRecorder.
+CleanRun run_clean(runtime::ThreadPool* pool, std::vector<Sample>* samples = nullptr,
+                   unsigned width = simd::kMaxLanes) {
   const fpga::System& sys = system_instance();
-  DeviceOracle device(sys, kIv, pool, simd::kMaxLanes);
+  DeviceOracle device(sys, kIv, pool, width);
   SampleRecorder recorder(device);
   PipelineConfig cfg;
   cfg.iv = kIv;
@@ -334,8 +336,8 @@ CrackRun run_crack(bool equalized) {
 
 // ---- One check list per scenario, shared by the full run and the smokes ----
 
-/// Clean: every batched configuration (each usable SIMD backend on one
-/// thread, the pooled run) recovers the key with the reference run's exact
+/// Clean: every batched configuration (the width-64 u64 run on one thread,
+/// the pooled run) recovers the key with the reference run's exact
 /// keystream and counts, and every sampled probe answers identically on the
 /// width-1 scalar device.  Returns results_identical.
 bool check_clean(const AttackResult& ref, const std::vector<const AttackResult*>& others,
@@ -348,7 +350,7 @@ bool check_clean(const AttackResult& ref, const std::vector<const AttackResult*>
            r->secrets.key == ref.secrets.key && r->oracle_runs == ref.oracle_runs &&
            r->cache_hits == ref.cache_hits && r->probe_calls == ref.probe_calls;
   }
-  ok = check(same, "every backend and the pooled run match runtime_1t") && ok;
+  ok = check(same, "the u64 and the pooled runs match runtime_1t") && ok;
   ok = check(diff.samples > 0 && diff.mismatches == 0,
              "sampled probes identical on the width-1 scalar device") && ok;
   return ok;
@@ -474,16 +476,10 @@ int run_full() {
   obs::set_mode(obs::Mode::kOff);
   const faultsim::NoiseProfile mild = faultsim::NoiseProfile::mild();
   const simd::Backend active = simd::active_backend();
-  std::vector<simd::Backend> other_backends;  // usable, besides the active one
-  for (const simd::Backend b :
-       {simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kAvx512}) {
-    if (b != active && simd::compiled(b) && simd::host_supports(b)) other_backends.push_back(b);
-  }
 
   Series<CleanRun> clean_runs;  // runtime_1t
   Series<Calibration> cal;
-  Series<CleanRun> pooled, observed;
-  std::vector<Series<CleanRun>> per_backend(other_backends.size());
+  Series<CleanRun> pooled, observed, scalar;
   Series<NoisyRun> stat, adapt;
   Series<FleetRun> fleet;
   Series<CrackRun> crack, crack_eq;
@@ -512,15 +508,9 @@ int run_full() {
       // for load bursts to swing its ratio by 20%.
       {"cracker",
        [&] { return crack.add(run_crack(false)) + crack_eq.add(run_crack(true)); }, {}},
-      {"obs", [&] { return observed.add(run_observed()); }, {}}};
-  for (size_t i = 0; i < other_backends.size(); ++i) {
-    gated.push_back({std::string("runtime_1t_") + simd::backend_name(other_backends[i]),
-                     [&, i] {
-                       simd::ScopedBackend scoped(other_backends[i]);
-                       return per_backend[i].add(run_clean(nullptr));
-                     },
-                     {}});
-  }
+      {"obs", [&] { return observed.add(run_observed()); }, {}},
+      // Width 64 pins every chunk to the u64 device.
+      {"runtime_1t_scalar", [&] { return scalar.add(run_clean(nullptr, nullptr, 64)); }, {}}};
   std::vector<double> calibrated;
   auto reference = [&](std::vector<Sample>* keep) {
     const double wall = clean_runs.add(run_clean(nullptr, keep));
@@ -575,9 +565,7 @@ int run_full() {
   std::printf("\n");
 
   std::printf("=== Contracts ===\n");
-  std::vector<const AttackResult*> others = {&pooled.first.res};
-  for (const Series<CleanRun>& b : per_backend) others.push_back(&b.first.res);
-  const bool identical = check_clean(clean, others, diff);
+  const bool identical = check_clean(clean, {&pooled.first.res, &scalar.first.res}, diff);
   check_noisy(clean, stat.first, adapt.first, sweep);
   check_fleet(clean, fleet_single, fleet.first, hedged);
   check_cracker(crack.first, crack_eq.first);
@@ -629,10 +617,7 @@ int run_full() {
   };
   entry("runtime_1t", clean_runs, active);
   entry("runtime", pooled, active);
-  for (size_t i = 0; i < other_backends.size(); ++i) {
-    entry(std::string("runtime_1t_") + simd::backend_name(other_backends[i]), per_backend[i],
-          other_backends[i]);
-  }
+  entry("runtime_1t_scalar", scalar, simd::Backend::kScalar);
   w.key("obs").begin_object();
   w.field("wall_seconds", observed.median())
       .field("oracle_runs", observed.first.res.oracle_runs)

@@ -41,7 +41,8 @@ void usage(const char* argv0) {
       "                       the expected verdict flips to a proof of ambiguity\n"
       "  --words W            keystream words per probe (default 16)\n"
       "  --batch-width W      oracle probes packed per bit-sliced batch, 1-512; clamped\n"
-      "                       at runtime to the active SIMD backend's width (default 512)\n"
+      "                       at runtime to the SIMD device's width: 64 lanes, or 256\n"
+      "                       with AVX2 (default 256)\n"
       "  --noise PROFILE      unreliable-hardware model: none|mild|harsh, optional @seed\n"
       "                       suffix (e.g. mild@0x123); probes are then confirmed by\n"
       "                       agreement voting, overhead reported per trial\n"

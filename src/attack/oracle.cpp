@@ -24,9 +24,9 @@ obs::Counter& physical_run_counter() {
   return c;
 }
 
-/// Probes that executed one-at-a-time through run_one while batching was in
-/// play.  Zero whenever a batch device is available: the noisy bench asserts
-/// on this to prove no re-read ever falls off the wide path as a straggler.
+/// Probes that executed one-at-a-time through run_one in run_batch: only
+/// the width-1 reference path does.  The noisy bench asserts this stays 0 at
+/// the default width, so no re-read ever falls off a batch device.
 obs::Counter& singleton_run_counter() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter("oracle.singleton_runs");
   return c;
@@ -88,16 +88,11 @@ std::vector<ProbeOutcome> DeviceOracle::run_batch(
             // A ragged tail (or a narrow width) fits the scalar u64 device.
             fpga::BatchDevice dev = system_.make_batch_device();
             fill(dev, begin, lanes);
-          } else if (auto dev = simd::make_wide_device(system_,
-                                                       simd::best_fit_backend(lanes, backend))) {
-            fill(*dev, begin, lanes);
           } else {
-            // Unreachable once width was clamped to the resolved backend;
-            // kept as a safe serial fallback rather than an assert.
-            singleton_run_counter().add(lanes);
-            for (unsigned lane = 0; lane < lanes; ++lane) {
-              out[begin + lane] = run_one(bitstreams[begin + lane], words);
-            }
+            // Wider than 64 lanes only when the active backend is AVX2,
+            // whose device is compiled in.
+            fill(*simd::make_wide_device(system_, simd::best_fit_backend(lanes, backend)), begin,
+                 lanes);
           }
         });
   }

@@ -74,11 +74,11 @@ class Oracle {
 ///
 /// run_batch packs up to `batch_width` candidates into the lanes of one
 /// bit-sliced batch device — chunks of at most 64 lanes use the scalar u64
-/// reference, wider chunks the 256/512-lane device of the active SIMD
-/// backend (simd::active_backend(); batch_width is clamped to its lane
-/// count per call).  Chunks shard across `pool` when given, the one opt-in
-/// fan-out inside an attack (campaign trials pass none); results are
-/// bit-identical to the scalar path for any width/thread count/backend.
+/// reference, wider chunks the 256-lane AVX2 device (batch_width is clamped
+/// to simd::active_backend()'s lane count, so a host without AVX2 runs
+/// every chunk on u64).  Chunks shard across `pool` when given, the one
+/// opt-in fan-out inside an attack (campaign trials pass none); results are
+/// bit-identical to the scalar path for any width and thread count.
 class DeviceOracle : public Oracle {
  public:
   DeviceOracle(const fpga::System& system, const snow3g::Iv& iv,

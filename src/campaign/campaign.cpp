@@ -14,7 +14,6 @@
 #include "fpga/system.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "simd/backend.h"
 
 namespace sbm::campaign {
 
@@ -27,8 +26,8 @@ std::string options_error(const CampaignOptions& options) {
     return "words must be 1-" + std::to_string(kMaxWords);
   }
   if (options.threads > kMaxThreads) return "threads must be 0-" + std::to_string(kMaxThreads);
-  if (options.batch_width == 0 || options.batch_width > simd::kMaxLanes) {
-    return "batch_width must be 1-" + std::to_string(simd::kMaxLanes);
+  if (options.batch_width == 0 || options.batch_width > kMaxBatchWidth) {
+    return "batch_width must be 1-" + std::to_string(kMaxBatchWidth);
   }
   if (options.fleet_size == 0) return "fleet_size must be >= 1";
   for (const double factor : options.fleet_noise_factors) {

@@ -35,6 +35,7 @@
 #include "common/bits.h"
 #include "faultsim/noise.h"
 #include "runtime/retry.h"
+#include "simd/backend.h"
 
 namespace sbm {
 class JsonWriter;
@@ -67,12 +68,11 @@ struct CampaignOptions {
   bool equalized = false;
   /// Keystream words per probe (the paper's w).
   size_t words = 16;
-  /// Lanes per bit-sliced oracle batch (1..512, clamped at runtime to the
-  /// active SIMD backend's width — 64 scalar, 256 AVX2, 512 AVX-512).  1
-  /// selects the scalar reference path; any width and any backend yield
-  /// bit-identical trial outcomes (the fingerprint() contract extends over
-  /// this knob).
-  unsigned batch_width = 512;
+  /// Lanes per bit-sliced oracle batch (1..kMaxBatchWidth, clamped at
+  /// runtime to the active SIMD backend's width — 64 scalar, 256 AVX2).  1
+  /// selects the scalar reference path; any width yields bit-identical
+  /// trial outcomes (the fingerprint() contract extends over this knob).
+  unsigned batch_width = simd::kMaxLanes;
   /// Unreliable-hardware model: a non-quiet profile wraps each trial's
   /// device in a faultsim::FaultyOracle (noise stream re-seeded per trial)
   /// and the pipeline probes with runtime::RetryPolicy::voting(3).  The
@@ -222,12 +222,16 @@ constexpr bool is_protected_trial(const CampaignOptions& options, size_t index) 
 inline constexpr size_t kMaxTrials = size_t{1} << 20;
 inline constexpr size_t kMaxWords = 1024;
 inline constexpr unsigned kMaxThreads = 1024;
+/// Wider than any device (simd::kMaxLanes): job records, reports and
+/// checkpoints written when the widest device had 512 lanes store that
+/// width, and they must still load.  The oracle clamps it like any other.
+inline constexpr unsigned kMaxBatchWidth = 512;
 
 /// The range checks every entry point applies to CampaignOptions (the
 /// campaign CLI, options_from_json and so the service's job spec): empty
 /// when the options are runnable, else what is wrong with them — trials in
 /// 1..kMaxTrials, words in 1..kMaxWords, threads in 0..kMaxThreads,
-/// fleet_size >= 1, batch_width in 1..simd::kMaxLanes, every fleet noise
+/// fleet_size >= 1, batch_width in 1..kMaxBatchWidth, every fleet noise
 /// factor >= 0, kind "attack" or "crack".
 std::string options_error(const CampaignOptions& options);
 

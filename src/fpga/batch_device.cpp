@@ -2,8 +2,8 @@
 
 namespace sbm::fpga {
 
-// The 64-lane scalar reference.  The 256/512-lane instantiations live in
-// src/simd/kernels_*.cpp, which are compiled with the matching -m flags.
+// The 64-lane scalar reference.  The 256-lane instantiation lives in
+// src/simd/kernels_avx2.cpp, which is compiled with -mavx2.
 template class BatchDeviceT<u64>;
 
 }  // namespace sbm::fpga

@@ -13,8 +13,8 @@
 // fixed host IV.
 //
 // BatchDevice = BatchDeviceT<u64> is the 64-lane scalar reference; the
-// 256/512-lane instantiations are confined to the src/simd/ kernel TUs and
-// reached through simd::make_wide_device (see simd/wide.h).
+// 256-lane instantiation is confined to the src/simd/ kernel TU and reached
+// through simd::make_wide_device (see simd/wide.h).
 #pragma once
 
 #include <array>

@@ -71,8 +71,8 @@ std::vector<u64> BatchLutTape::transpose_tables(const LutNetwork& mapped) const 
   return out;
 }
 
-// The portable scalar reference.  The 256/512-lane instantiations live in
-// src/simd/kernels_*.cpp, which are compiled with the matching -m flags.
+// The portable scalar reference.  The 256-lane instantiation lives in
+// src/simd/kernels_avx2.cpp, which is compiled with -mavx2.
 template class BatchLutSimulatorT<u64>;
 
 }  // namespace sbm::mapper

@@ -20,13 +20,13 @@
 // tree's leaf level broadcasts those words in-register.  Only LUTs a probe
 // actually patches via set_lut_table get their table materialized at full
 // lane width.  At W words per vector this keeps the per-settle table stream
-// at ~1/W the naive footprint (the 512-lane tables for this design would
-// otherwise be ~8x the L2-resident scalar table block) and makes
+// at ~1/W the naive footprint (the 256-lane tables for this design would
+// otherwise be ~4x the L2-resident scalar table block) and makes
 // construction and set_tables width-independent.
 //
 // BatchLutSimulator = BatchLutSimulatorT<u64> is the portable 64-lane
-// reference; the 256/512-lane instantiations are confined to the src/simd/
-// kernel TUs (see simd/lane_vec.h for the ODR discipline).  The tape is not
+// reference; the 256-lane instantiation is confined to the src/simd/
+// kernel TU (see simd/lane_vec.h for the ODR discipline).  The tape is not
 // templated — one compiled tape is shared by simulators of every width.
 //
 // Lane semantics match mapper::LutSimulator bit-for-bit: lane l of this

@@ -1,7 +1,7 @@
-// Internal: per-backend factory entry points implemented by the kernel TUs.
-// Declared unconditionally; only the TUs the compiler accepts are built
-// (src/simd/CMakeLists.txt), and wide.cpp references each one behind the
-// matching SBM_SIMD_HAS_* macro.
+// Internal: the factory entry point implemented by the AVX2 kernel TU.
+// Declared unconditionally; kernels_avx2.cpp is built only when the compiler
+// accepts -mavx2 (src/simd/CMakeLists.txt), and wide.cpp references it behind
+// the matching SBM_SIMD_HAS_AVX2 macro.
 #pragma once
 
 #include "simd/wide.h"
@@ -9,6 +9,5 @@
 namespace sbm::simd {
 
 std::unique_ptr<WideDevice> make_wide_device_avx2(const fpga::System& sys);
-std::unique_ptr<WideDevice> make_wide_device_avx512(const fpga::System& sys);
 
 }  // namespace sbm::simd

@@ -11,13 +11,12 @@
 // TU instantiates them — no reliance on the autovectorizer, which produces
 // poor code for small fixed-trip word loops.  There are deliberately no
 // intrinsics and no feature #ifdefs: every translation unit sees the same
-// tokens (ODR-clean), and the AVX2/AVX-512 kernel TUs in src/simd/ compile
-// them with -mavx2 / -mavx512f so the generic vector ops lower to VPAND /
-// VPTERNLOGQ.  The wide instantiations LaneVec<4>/LaneVec<8> are ODR-used
-// *only* inside those kernel TUs (everything else goes through the
-// type-erased factory in simd/wide.h) — do not instantiate them in TUs
-// compiled without the matching -m flags, or the linker may fold a scalar
-// copy over the vectorized one.
+// tokens (ODR-clean), and the AVX2 kernel TU in src/simd/ compiles them
+// with -mavx2 so the generic vector ops lower to VPAND / VPOR / VPXOR.  The
+// wide instantiation LaneVec<4> is ODR-used *only* inside that kernel TU
+// (everything else goes through the type-erased factory in simd/wide.h) —
+// do not instantiate it in TUs compiled without -mavx2, or the linker may
+// fold a scalar copy over the vectorized one.
 //
 // Per-lane accessors (get_lane/set_lane/or_lane) touch exactly one word, so
 // lane-granular work — per-probe INIT patches, BRAM address gathers — costs
@@ -85,8 +84,7 @@ inline LaneVec<W> operator~(const LaneVec<W>& a) {
   return LaneVec<W>{~a.v};
 }
 
-/// (a & ~x) | (b & x): the Shannon mux step of the LUT settle loop, written
-/// once so the -mavx512f kernel TU collapses it into one VPTERNLOGQ.
+/// (a & ~x) | (b & x): the Shannon mux step of the LUT settle loop.
 template <unsigned W>
 inline LaneVec<W> mux(const LaneVec<W>& a, const LaneVec<W>& b, const LaneVec<W>& x) {
   return LaneVec<W>{(a.v & ~x.v) | (b.v & x.v)};

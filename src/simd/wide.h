@@ -1,16 +1,15 @@
-// Type-erased access to the 256/512-lane batch device instantiations.
+// Type-erased access to the 256-lane batch device instantiation.
 //
-// The wide instantiations of BatchLutSimulatorT / BatchDeviceT must only be
-// compiled inside the kernel TUs that carry the matching -mavx2 / -mavx512f
-// flags (see simd/lane_vec.h).  Everything else — the oracle's chunk loop,
-// the equivalence tests — reaches them through the virtual interface below.
+// The wide instantiation of BatchLutSimulatorT / BatchDeviceT must only be
+// compiled inside the kernel TU that carries -mavx2 (see simd/lane_vec.h).
+// Everything else — the oracle's chunk loop, the equivalence tests —
+// reaches it through the virtual interface below.
 // The factory returns nullptr when the requested backend's kernels are not
-// compiled into this binary; callers are expected to have resolved the
-// backend first (simd/backend.h), which guarantees a non-null result for
-// the active backend.
+// compiled into this binary; the active backend (simd/backend.h) is AVX2
+// only when they are, so it always gets a device.
 //
-// The virtual-call overhead is irrelevant: every call amortizes over 64-512
-// lanes of simulation work.
+// The virtual-call overhead is irrelevant: every call amortizes over up to
+// 256 lanes of simulation work.
 #pragma once
 
 #include <memory>

@@ -1,8 +1,8 @@
 // Template adapter behind the simd/wide.h interface.
 //
-// Included ONLY by the kernel TUs (kernels_avx2.cpp, kernels_avx512.cpp):
-// instantiating this template pulls in the full wide simulator bodies,
-// which must be compiled with the matching -m flags.
+// Included ONLY by the kernel TU (kernels_avx2.cpp): instantiating this
+// template pulls in the full wide simulator bodies, which must be compiled
+// with -mavx2.
 #pragma once
 
 #include "fpga/batch_device.h"

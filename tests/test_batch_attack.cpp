@@ -56,10 +56,10 @@ u64 digest(const Range& items) {
 }
 
 /// One batch width and pool size.  Width 1 on one thread is the scalar
-/// reference: one reconfiguration per oracle call, no bit-slicing.  Widths
-/// beyond 64 engage the wide SIMD backends when compiled in; the oracle
-/// clamps them to the active backend's lane count, and the results must
-/// stay bit-identical either way.  Each configuration is its own case, so
+/// reference: one reconfiguration per oracle call, no bit-slicing.  The
+/// width alone picks the device: up to 64 runs the u64 kernel, 65-256 the
+/// AVX2 device where it runs, and the oracle clamps anything wider (512) to
+/// the device's lane count.  The results must stay bit-identical either way.  Each configuration is its own case, so
 /// ctest runs them in parallel, and each asserts the reference's values.
 struct WidthConfig {
   unsigned width;
@@ -101,8 +101,9 @@ TEST_P(BatchAttackWidth, FullAttackMatchesTheScalarReference) {
 INSTANTIATE_TEST_SUITE_P(Widths, BatchAttackWidth,
                          ::testing::Values(WidthConfig{1, 0}, WidthConfig{7, 0},
                                            WidthConfig{7, 8}, WidthConfig{64, 0},
-                                           WidthConfig{64, 8}, WidthConfig{256, 8},
-                                           WidthConfig{512, 0}, WidthConfig{512, 8}));
+                                           WidthConfig{64, 8}, WidthConfig{256, 0},
+                                           WidthConfig{256, 8}, WidthConfig{512, 0},
+                                           WidthConfig{512, 8}));
 
 TEST_P(BatchCampaignWidth, FingerprintMatchesTheScalarReference) {
   const WidthConfig c = GetParam();

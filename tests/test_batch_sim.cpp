@@ -354,46 +354,42 @@ TEST(DeviceSnapshot, RebasedFastPathMatchesFullParseOnRandomEdits) {
   EXPECT_GT(rejected, 0u);
   EXPECT_LT(rejected, shared.size());
 
-  // Batched lanes at widths {1, 7, 64, 512}, through the device the oracle
-  // would pick for that chunk width on every compiled backend.  Each pass
-  // leads with an image no parent is near, so its first chunk configures
-  // against a just-promoted parent; later chunks hit whichever parent their
-  // lane 0 is closest to (golden, A, B, or a promoted one).
-  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
-  for (const simd::Backend b : {simd::Backend::kAvx2, simd::Backend::kAvx512}) {
-    if (simd::compiled(b) && simd::host_supports(b)) backends.push_back(b);
-  }
+  // Batched lanes at widths {1, 7, 64, 256}, each through the device the
+  // oracle picks for that chunk width (256 only where the AVX2 device
+  // runs).  Each pass leads with an image no parent is near, so its first
+  // chunk configures against a just-promoted parent; later chunks hit
+  // whichever parent their lane 0 is closest to (golden, A, B, or a
+  // promoted one).
+  const simd::Backend active = simd::active_backend();
   std::set<unsigned> done;
-  for (const simd::Backend backend : backends) {
-    for (const unsigned width : {1u, 7u, 64u, 512u}) {
-      const unsigned lanes = std::min(width, simd::backend_lanes(backend));
-      if (!done.insert(lanes).second) continue;
-      SCOPED_TRACE(std::string(simd::backend_name(backend)) + " x " + std::to_string(lanes));
-      const u64 promotions = sys.snapshot->stats().parent_promotions;
-      std::vector<std::vector<u8>> pass;
-      pass.push_back(far_image(sys, rng));
-      for (int i = 0; i < 6; ++i) pass.push_back(random_edit(sys, pass[0], rng));
-      shuffle(pass, 1);
-      pass.insert(pass.end(), shared.begin(), shared.end());
-      for (size_t begin = 0; begin < pass.size(); begin += lanes) {
-        const unsigned n = static_cast<unsigned>(std::min<size_t>(lanes, pass.size() - begin));
-        std::vector<std::optional<std::vector<u32>>> z;
-        if (lanes <= fpga::BatchDevice::kLanes) {
-          fpga::BatchDevice dev = sys.make_batch_device();
-          for (unsigned l = 0; l < n; ++l) dev.configure_lane(l, pass[begin + l]);
-          z = dev.keystream(kRebaseIv, kWords, n);
-        } else {
-          auto dev = simd::make_wide_device(sys, backend);
-          ASSERT_NE(dev, nullptr);
-          for (unsigned l = 0; l < n; ++l) dev->configure_lane(l, pass[begin + l]);
-          z = dev->keystream(kRebaseIv, kWords, n);
-        }
-        for (unsigned l = 0; l < n; ++l) {
-          expect_lane(z[l], full_parse(sys, pass[begin + l], kWords), begin + l);
-        }
+  for (const unsigned width : {1u, 7u, 64u, 256u}) {
+    const unsigned lanes = std::min(width, simd::backend_lanes(active));
+    if (!done.insert(lanes).second) continue;
+    SCOPED_TRACE(std::to_string(lanes) + " lanes");
+    const u64 promotions = sys.snapshot->stats().parent_promotions;
+    std::vector<std::vector<u8>> pass;
+    pass.push_back(far_image(sys, rng));
+    for (int i = 0; i < 6; ++i) pass.push_back(random_edit(sys, pass[0], rng));
+    shuffle(pass, 1);
+    pass.insert(pass.end(), shared.begin(), shared.end());
+    for (size_t begin = 0; begin < pass.size(); begin += lanes) {
+      const unsigned n = static_cast<unsigned>(std::min<size_t>(lanes, pass.size() - begin));
+      std::vector<std::optional<std::vector<u32>>> z;
+      if (lanes <= fpga::BatchDevice::kLanes) {
+        fpga::BatchDevice dev = sys.make_batch_device();
+        for (unsigned l = 0; l < n; ++l) dev.configure_lane(l, pass[begin + l]);
+        z = dev.keystream(kRebaseIv, kWords, n);
+      } else {
+        auto dev = simd::make_wide_device(sys, simd::best_fit_backend(lanes, active));
+        ASSERT_NE(dev, nullptr);
+        for (unsigned l = 0; l < n; ++l) dev->configure_lane(l, pass[begin + l]);
+        z = dev->keystream(kRebaseIv, kWords, n);
       }
-      EXPECT_GT(sys.snapshot->stats().parent_promotions, promotions);
+      for (unsigned l = 0; l < n; ++l) {
+        expect_lane(z[l], full_parse(sys, pass[begin + l], kWords), begin + l);
+      }
     }
+    EXPECT_GT(sys.snapshot->stats().parent_promotions, promotions);
   }
 }
 

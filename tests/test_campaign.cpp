@@ -289,7 +289,7 @@ TEST(Campaign, KeystreamBitZeroInEveryWordIsStillFound) {
 TEST(CampaignOptions, OneValidatorRejectsEveryOutOfRangeOption) {
   EXPECT_EQ(campaign::options_error({}), "");
   campaign::CampaignOptions edge;
-  edge.batch_width = simd::kMaxLanes;
+  edge.batch_width = campaign::kMaxBatchWidth;
   edge.fleet_noise_factors = {0.0, 2.0};
   edge.kind = "crack";
   EXPECT_EQ(campaign::options_error(edge), "");
@@ -301,6 +301,22 @@ TEST(CampaignOptions, OneValidatorRejectsEveryOutOfRangeOption) {
   edge.words = campaign::kMaxWords;
   edge.threads = campaign::kMaxThreads;
   EXPECT_EQ(campaign::options_error(edge), "");
+
+  // Job records, reports and checkpoints written when the widest device had
+  // 512 lanes store that width: they still load.  The oracle clamps it to
+  // the device's lanes like any other (Widths/BatchCampaignWidth's w512
+  // case runs one).
+  static_assert(campaign::kMaxBatchWidth > simd::kMaxLanes);
+  const auto stored = parse_json(R"({"batch_width":512})");
+  ASSERT_TRUE(stored.has_value());
+  const auto loaded = campaign::options_from_json(*stored);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->batch_width, 512u);
+  const auto stored_job = parse_json(R"({"mode":"attack","options":{"batch_width":512}})");
+  ASSERT_TRUE(stored_job.has_value());
+  const auto job = service::job_spec_from_json(*stored_job);
+  ASSERT_TRUE(job.has_value());
+  EXPECT_EQ(job->options.batch_width, 512u);
 
   struct Case {
     const char* json;  // the same option as a job's "options" object
@@ -320,7 +336,7 @@ TEST(CampaignOptions, OneValidatorRejectsEveryOutOfRangeOption) {
        [](campaign::CampaignOptions& o) { o.threads = campaign::kMaxThreads + 1; }},
       {R"({"batch_width":0})", [](campaign::CampaignOptions& o) { o.batch_width = 0; }},
       {R"({"batch_width":513})",
-       [](campaign::CampaignOptions& o) { o.batch_width = simd::kMaxLanes + 1; }},
+       [](campaign::CampaignOptions& o) { o.batch_width = campaign::kMaxBatchWidth + 1; }},
       {R"({"fleet_size":0})", [](campaign::CampaignOptions& o) { o.fleet_size = 0; }},
       {R"({"fleet_noise_factors":[1,-1]})",
        [](campaign::CampaignOptions& o) { o.fleet_noise_factors = {1.0, -1.0}; }},

@@ -1,30 +1,28 @@
-// SIMD backend layer: runtime dispatch rules, lane-vector algebra, the
-// bit-matrix transpose used by the wide BRAM path, the flat-map layout of
-// the hot lookup structures, and — the load-bearing contract — bit-exact
-// equivalence of the AVX2/AVX-512 wide devices with the portable scalar
+// SIMD backend layer: lane counts and the per-chunk device rule, lane-vector
+// algebra, the bit-matrix transpose used by the wide BRAM path, the flat-map
+// layout of the hot lookup structures, and — the load-bearing contract —
+// bit-exact equivalence of the AVX2 wide device with the portable scalar
 // u64 reference, from lane-by-lane device differentials up through
-// DeviceOracle batches, the full Section VI attack and the campaign
-// fingerprint.
+// DeviceOracle batches at every width.  The full attack and the campaign
+// fingerprint at each width are pinned in test_batch_attack.cpp.
 //
 // Only LaneVec<2> (128-bit, baseline SSE2 on x86-64) is instantiated here:
-// the 256/512-lane vectors are ODR-used exclusively inside the kernel TUs
-// carrying the matching -m flags, and this test reaches them through the
-// type-erased simd::make_wide_device factory like every other client.
+// the 256-lane vector is ODR-used exclusively inside the kernel TU carrying
+// -mavx2, and this test reaches it through the type-erased
+// simd::make_wide_device factory like every other client.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <unordered_map>
 
-#include "attack/pipeline.h"
+#include "attack/oracle.h"
 #include "bitstream/patcher.h"
-#include "campaign/campaign.h"
 #include "common/flat_map.h"
 #include "common/rng.h"
 #include "fpga/batch_device.h"
 #include "fpga/device.h"
 #include "fpga/system.h"
 #include "runtime/probe_cache.h"
-#include "runtime/thread_pool.h"
 #include "simd/backend.h"
 #include "simd/lane_vec.h"
 #include "simd/transpose.h"
@@ -42,16 +40,10 @@ const fpga::System& shared_system() {
   return sys;
 }
 
-/// Wide backends this binary can actually run (compiled in AND supported by
-/// the host).  Empty on non-x86 hosts or compilers without -mavx2 — the wide
+/// True when this binary runs the AVX2 device (compiled in AND supported by
+/// the host).  False on non-x86 hosts or compilers without -mavx2 — the wide
 /// equivalence tests then pass vacuously, which is the intended degradation.
-std::vector<Backend> usable_wide_backends() {
-  std::vector<Backend> out;
-  for (const Backend b : {Backend::kAvx2, Backend::kAvx512}) {
-    if (simd::compiled(b) && simd::host_supports(b)) out.push_back(b);
-  }
-  return out;
-}
+bool has_wide_device() { return simd::active_backend() == Backend::kAvx2; }
 
 // ---------------------------------------------------------------------------
 // Dispatch rules
@@ -59,88 +51,38 @@ std::vector<Backend> usable_wide_backends() {
 TEST(SimdDispatch, BackendLanes) {
   EXPECT_EQ(simd::backend_lanes(Backend::kScalar), 64u);
   EXPECT_EQ(simd::backend_lanes(Backend::kAvx2), 256u);
-  EXPECT_EQ(simd::backend_lanes(Backend::kAvx512), 512u);
-  EXPECT_EQ(simd::kMaxLanes, 512u);
-}
-
-TEST(SimdDispatch, HostSupportCoversEveryAvx512CompileFlag) {
-  // kernels_avx512.cpp is compiled with -mavx512f -mavx512bw -mavx512vl, so
-  // running it needs all three; and an AVX-512 host must also take the
-  // AVX2 device best_fit_backend hands mid-size chunks.
-  EXPECT_TRUE(simd::host_supports(Backend::kScalar));
-#if defined(__x86_64__) || defined(__i386__)
-  const bool all = __builtin_cpu_supports("avx512f") != 0 &&
-                   __builtin_cpu_supports("avx512bw") != 0 &&
-                   __builtin_cpu_supports("avx512vl") != 0;
-  EXPECT_EQ(simd::host_supports(Backend::kAvx512), all);
-  if (simd::host_supports(Backend::kAvx512)) {
-    EXPECT_TRUE(simd::host_supports(Backend::kAvx2));
-  }
-#endif
-}
-
-TEST(SimdDispatch, ResolveBackendTruthTable) {
-  // The pure fallback rule: widest usable backend at or below the request,
-  // bottoming out at scalar, which is unconditionally usable.
-  for (const bool avx2 : {false, true}) {
-    for (const bool avx512 : {false, true}) {
-      EXPECT_EQ(simd::resolve_backend(Backend::kScalar, avx2, avx512), Backend::kScalar);
-      EXPECT_EQ(simd::resolve_backend(Backend::kAvx2, avx2, avx512),
-                avx2 ? Backend::kAvx2 : Backend::kScalar);
-    }
-  }
-  EXPECT_EQ(simd::resolve_backend(Backend::kAvx512, false, false), Backend::kScalar);
-  EXPECT_EQ(simd::resolve_backend(Backend::kAvx512, true, false), Backend::kAvx2);
-  EXPECT_EQ(simd::resolve_backend(Backend::kAvx512, false, true), Backend::kAvx512);
-  EXPECT_EQ(simd::resolve_backend(Backend::kAvx512, true, true), Backend::kAvx512);
+  EXPECT_EQ(simd::kMaxLanes, 256u);
 }
 
 TEST(SimdDispatch, BestFitBackendNeverWidensAndCoversSmallChunks) {
-  for (const Backend active : {Backend::kScalar, Backend::kAvx2, Backend::kAvx512}) {
+  for (const Backend active : {Backend::kScalar, Backend::kAvx2}) {
     // Chunks a single u64 word can hold always take the scalar device.
     for (const unsigned lanes : {1u, 7u, 63u, 64u}) {
       EXPECT_EQ(simd::best_fit_backend(lanes, active), Backend::kScalar)
           << lanes << " lanes, active " << simd::backend_name(active);
     }
-    // Full-width chunks always keep the active backend.
-    EXPECT_EQ(simd::best_fit_backend(simd::backend_lanes(active), active), active);
+    // Anything wider keeps the active backend.
+    for (const unsigned lanes : {65u, 100u, 256u}) {
+      EXPECT_EQ(simd::best_fit_backend(lanes, active), active)
+          << lanes << " lanes, active " << simd::backend_name(active);
+    }
   }
-  // Mid-size chunks under an AVX-512 active backend drop to AVX2 when its
-  // kernels are available; otherwise they stay on the active backend.
-  const Backend mid = simd::best_fit_backend(100, Backend::kAvx512);
-  if (simd::compiled(Backend::kAvx2) && simd::host_supports(Backend::kAvx2)) {
-    EXPECT_EQ(mid, Backend::kAvx2);
-  } else {
-    EXPECT_EQ(mid, Backend::kAvx512);
-  }
-  EXPECT_EQ(simd::best_fit_backend(300, Backend::kAvx512), Backend::kAvx512);
-  EXPECT_EQ(simd::best_fit_backend(100, Backend::kAvx2), Backend::kAvx2);
-}
-
-TEST(SimdDispatch, SetActiveBackendFallsBackToUsable) {
-  simd::ScopedBackend outer(simd::active_backend());  // restore on exit
-  for (const Backend req : {Backend::kScalar, Backend::kAvx2, Backend::kAvx512}) {
-    const Backend got = simd::set_active_backend(req);
-    EXPECT_LE(simd::backend_lanes(got), simd::backend_lanes(req));
-    EXPECT_TRUE(simd::compiled(got) && simd::host_supports(got));
-    EXPECT_EQ(simd::active_backend(), got);
-  }
-  EXPECT_EQ(simd::set_active_backend(Backend::kScalar), Backend::kScalar);
-}
-
-TEST(SimdDispatch, ScopedBackendRestores) {
-  const Backend before = simd::active_backend();
-  {
-    simd::ScopedBackend scoped(Backend::kScalar);
-    EXPECT_EQ(scoped.actual(), Backend::kScalar);
-    EXPECT_EQ(simd::active_backend(), Backend::kScalar);
-  }
-  EXPECT_EQ(simd::active_backend(), before);
 }
 
 TEST(SimdDispatch, WideFactoriesDeclineScalarBackend) {
   const fpga::System& sys = shared_system();
   EXPECT_EQ(simd::make_wide_device(sys, Backend::kScalar), nullptr);
+  // The active backend always gets a device once a chunk outgrows u64.
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx2") == 0) {
+    EXPECT_EQ(simd::active_backend(), Backend::kScalar);
+  }
+#endif
+  if (has_wide_device()) {
+    const auto dev = simd::make_wide_device(sys, simd::active_backend());
+    ASSERT_NE(dev, nullptr);
+    EXPECT_EQ(dev->lanes(), simd::kMaxLanes);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -375,94 +317,93 @@ std::vector<std::vector<u8>> random_candidates(const fpga::System& sys, Rng& rng
 
 TEST(SimdWideEquivalence, DeviceMatchesU64ReferenceOnTenThousandVectors) {
   const fpga::System& sys = shared_system();
-  for (const Backend backend : usable_wide_backends()) {
-    SCOPED_TRACE(simd::backend_name(backend));
-    const unsigned width = simd::backend_lanes(backend);
-    Rng rng(0x10c0 + static_cast<u64>(backend));
-    size_t vectors = 0;
-    while (vectors < 10000) {
-      const auto candidates = random_candidates(sys, rng, width);
-      auto wide = simd::make_wide_device(sys, backend);
-      ASSERT_NE(wide, nullptr);
-      ASSERT_EQ(wide->lanes(), width);
-      for (unsigned l = 0; l < width; ++l) {
-        ASSERT_TRUE(wide->configure_lane(l, candidates[l])) << "lane " << l;
-      }
-      const auto got = wide->keystream(kHostIv, /*n=*/2, width);
-      ASSERT_EQ(got.size(), width);
-      for (unsigned base = 0; base < width; base += fpga::BatchDevice::kLanes) {
-        fpga::BatchDevice ref = sys.make_batch_device();
-        for (unsigned l = 0; l < fpga::BatchDevice::kLanes; ++l) {
-          ASSERT_TRUE(ref.configure_lane(l, candidates[base + l])) << "lane " << base + l;
-        }
-        const auto expect = ref.keystream(kHostIv, /*n=*/2, fpga::BatchDevice::kLanes);
-        for (unsigned l = 0; l < fpga::BatchDevice::kLanes; ++l) {
-          ASSERT_EQ(got[base + l], expect[l]) << "lane " << base + l << " of " << width;
-        }
-      }
-      vectors += width;
+  if (!has_wide_device()) return;
+  const Backend backend = Backend::kAvx2;
+  const unsigned width = simd::backend_lanes(backend);
+  Rng rng(0x10c0 + static_cast<u64>(backend));
+  size_t vectors = 0;
+  while (vectors < 10000) {
+    const auto candidates = random_candidates(sys, rng, width);
+    auto wide = simd::make_wide_device(sys, backend);
+    ASSERT_NE(wide, nullptr);
+    ASSERT_EQ(wide->lanes(), width);
+    for (unsigned l = 0; l < width; ++l) {
+      ASSERT_TRUE(wide->configure_lane(l, candidates[l])) << "lane " << l;
     }
+    const auto got = wide->keystream(kHostIv, /*n=*/2, width);
+    ASSERT_EQ(got.size(), width);
+    for (unsigned base = 0; base < width; base += fpga::BatchDevice::kLanes) {
+      fpga::BatchDevice ref = sys.make_batch_device();
+      for (unsigned l = 0; l < fpga::BatchDevice::kLanes; ++l) {
+        ASSERT_TRUE(ref.configure_lane(l, candidates[base + l])) << "lane " << base + l;
+      }
+      const auto expect = ref.keystream(kHostIv, /*n=*/2, fpga::BatchDevice::kLanes);
+      for (unsigned l = 0; l < fpga::BatchDevice::kLanes; ++l) {
+        ASSERT_EQ(got[base + l], expect[l]) << "lane " << base + l << " of " << width;
+      }
+    }
+    vectors += width;
   }
 }
 
 TEST(SimdWideEquivalence, WideDeviceMatchesScalarDeviceIncludingRejections) {
   const fpga::System& sys = shared_system();
-  for (const Backend backend : usable_wide_backends()) {
-    SCOPED_TRACE(simd::backend_name(backend));
-    const unsigned width = simd::backend_lanes(backend);
-    Rng rng(0xd331 + static_cast<u64>(backend));
-    std::vector<u8> nocrc = sys.golden.bytes;
-    bitstream::disable_crc(nocrc);
-    std::vector<std::vector<u8>> candidates;
-    for (unsigned i = 0; i < width; ++i) {
-      if (i % 17 == 3) {  // frame edit under an armed CRC: must reject
-        std::vector<u8> bad = sys.golden.bytes;
-        bad[sys.golden.layout.fdri_byte_offset + (i % 7)] ^= 0x5a;
-        candidates.push_back(std::move(bad));
-      } else if (i % 17 == 9) {
-        candidates.push_back(sys.golden.bytes);  // pristine golden
-      } else {
-        std::vector<u8> bytes = nocrc;
-        const size_t site = rng.next_u64() % sys.placed.phys.size();
-        bitstream::write_lut_init(bytes, sys.golden.layout.site_byte_index(site),
-                                  bitstream::Layout::chunk_stride(),
-                                  bitstream::chunk_order(sys.placed.slice_of(site)),
-                                  rng.next_u64());
-        candidates.push_back(std::move(bytes));
-      }
+  if (!has_wide_device()) return;
+  const Backend backend = Backend::kAvx2;
+  const unsigned width = simd::backend_lanes(backend);
+  Rng rng(0xd331 + static_cast<u64>(backend));
+  std::vector<u8> nocrc = sys.golden.bytes;
+  bitstream::disable_crc(nocrc);
+  std::vector<std::vector<u8>> candidates;
+  for (unsigned i = 0; i < width; ++i) {
+    if (i % 17 == 3) {  // frame edit under an armed CRC: must reject
+      std::vector<u8> bad = sys.golden.bytes;
+      bad[sys.golden.layout.fdri_byte_offset + (i % 7)] ^= 0x5a;
+      candidates.push_back(std::move(bad));
+    } else if (i % 17 == 9) {
+      candidates.push_back(sys.golden.bytes);  // pristine golden
+    } else {
+      std::vector<u8> bytes = nocrc;
+      const size_t site = rng.next_u64() % sys.placed.phys.size();
+      bitstream::write_lut_init(bytes, sys.golden.layout.site_byte_index(site),
+                                bitstream::Layout::chunk_stride(),
+                                bitstream::chunk_order(sys.placed.slice_of(site)),
+                                rng.next_u64());
+      candidates.push_back(std::move(bytes));
     }
-    auto dev = simd::make_wide_device(sys, backend);
-    ASSERT_NE(dev, nullptr);
-    ASSERT_EQ(dev->lanes(), width);
-    std::vector<bool> accepted;
-    for (unsigned l = 0; l < width; ++l) {
-      accepted.push_back(dev->configure_lane(l, candidates[l]));
-    }
-    const auto z = dev->keystream(kHostIv, /*n=*/4, width);
-    ASSERT_EQ(z.size(), width);
-    for (unsigned l = 0; l < width; ++l) {
-      fpga::Device scalar = sys.make_device();
-      const bool ok = scalar.configure(candidates[l]);
-      ASSERT_EQ(accepted[l], ok) << "lane " << l;
-      if (ok) {
-        ASSERT_TRUE(z[l].has_value()) << "lane " << l;
-        EXPECT_EQ(*z[l], scalar.keystream(kHostIv, 4)) << "lane " << l;
-      } else {
-        EXPECT_FALSE(z[l].has_value()) << "lane " << l;
-      }
+  }
+  auto dev = simd::make_wide_device(sys, backend);
+  ASSERT_NE(dev, nullptr);
+  ASSERT_EQ(dev->lanes(), width);
+  std::vector<bool> accepted;
+  for (unsigned l = 0; l < width; ++l) {
+    accepted.push_back(dev->configure_lane(l, candidates[l]));
+  }
+  const auto z = dev->keystream(kHostIv, /*n=*/4, width);
+  ASSERT_EQ(z.size(), width);
+  for (unsigned l = 0; l < width; ++l) {
+    fpga::Device scalar = sys.make_device();
+    const bool ok = scalar.configure(candidates[l]);
+    ASSERT_EQ(accepted[l], ok) << "lane " << l;
+    if (ok) {
+      ASSERT_TRUE(z[l].has_value()) << "lane " << l;
+      EXPECT_EQ(*z[l], scalar.keystream(kHostIv, 4)) << "lane " << l;
+    } else {
+      EXPECT_FALSE(z[l].has_value()) << "lane " << l;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Oracle batches: ragged widths, every backend, exact run accounting
+// Oracle batches: ragged widths, the device each width picks, exact run
+// accounting
 
 TEST(SimdOracle, RaggedWidthsBitIdenticalAcrossBackends) {
   const fpga::System& sys = shared_system();
   Rng rng(0x0dd5);
   std::vector<u8> nocrc = sys.golden.bytes;
   bitstream::disable_crc(nocrc);
-  constexpr size_t kProbes = 515;  // one full 512 chunk + a 3-lane tail
+  constexpr size_t kProbes = 259;  // one full 256 chunk + a 3-lane tail
   std::vector<std::vector<u8>> probes;
   probes.reserve(kProbes);
   for (size_t i = 0; i < kProbes; ++i) {
@@ -481,111 +422,28 @@ TEST(SimdOracle, RaggedWidthsBitIdenticalAcrossBackends) {
     }
   }
 
-  // Reference: the scalar u64 backend at its native width (itself proven
+  // Reference: the scalar u64 device at its native width (itself proven
   // against one-at-a-time runs by test_batch_attack).
   std::vector<runtime::ProbeOutcome> ref;
   {
-    simd::ScopedBackend scoped(Backend::kScalar);
     attack::DeviceOracle oracle(sys, kHostIv, nullptr, 64);
     ref = oracle.run_batch(probes, /*words=*/4);
     EXPECT_EQ(oracle.runs(), kProbes);
   }
 
-  std::vector<Backend> backends = {Backend::kScalar};
-  for (const Backend b : usable_wide_backends()) backends.push_back(b);
-  for (const Backend backend : backends) {
-    for (const unsigned width : {1u, 7u, 63u, 64u, 65u, 255u, 256u, 511u, 512u}) {
-      // Every width gets full and ragged chunks: n = width + 3 (clamped).
-      const size_t n = std::min<size_t>(kProbes, width + 3);
-      SCOPED_TRACE(std::string(simd::backend_name(backend)) + ", width " +
-                   std::to_string(width) + ", " + std::to_string(n) + " probes");
-      simd::ScopedBackend scoped(backend);
-      attack::DeviceOracle oracle(sys, kHostIv, nullptr, width);
-      const auto got =
-          oracle.run_batch(std::span<const std::vector<u8>>(probes).first(n), /*words=*/4);
-      ASSERT_EQ(got.size(), n);
-      EXPECT_EQ(oracle.runs(), n);  // every lane is one paper-cost reconfiguration
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got[i], ref[i]) << "probe " << i;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Full attack and campaign invariance across backends and thread counts
-
-attack::AttackResult run_attack(runtime::ThreadPool* pool) {
-  const fpga::System& sys = shared_system();
-  attack::DeviceOracle oracle(sys, kHostIv, pool);
-  runtime::ProbeCache cache;
-  attack::PipelineConfig cfg;
-  cfg.iv = kHostIv;
-  cfg.cache = &cache;
-  attack::Attack attack(oracle, sys.golden.bytes, cfg);
-  return attack.execute();
-}
-
-TEST(SimdAttack, FullAttackInvariantAcrossBackendsAndThreads) {
-  attack::AttackResult ref;
-  {
-    simd::ScopedBackend scoped(Backend::kScalar);
-    ref = run_attack(nullptr);
-  }
-  ASSERT_TRUE(ref.success) << ref.failure;
-  ASSERT_TRUE(ref.key_confirmed);
-  EXPECT_EQ(ref.probe_calls, ref.oracle_runs + ref.cache_hits);
-
-  runtime::ThreadPool pool(8);
-  std::vector<Backend> backends = {Backend::kScalar};
-  for (const Backend b : usable_wide_backends()) backends.push_back(b);
-  for (const Backend backend : backends) {
-    for (runtime::ThreadPool* p : {static_cast<runtime::ThreadPool*>(nullptr), &pool}) {
-      SCOPED_TRACE(std::string(simd::backend_name(backend)) +
-                   (p != nullptr ? ", 8 threads" : ", serial"));
-      simd::ScopedBackend scoped(backend);
-      const attack::AttackResult res = run_attack(p);
-      ASSERT_TRUE(res.success) << res.failure;
-      EXPECT_EQ(res.faulty_keystream, ref.faulty_keystream);
-      EXPECT_EQ(res.secrets.key, ref.secrets.key);
-      EXPECT_EQ(res.recovered_state, ref.recovered_state);
-      EXPECT_EQ(res.oracle_runs, ref.oracle_runs);
-      EXPECT_EQ(res.cache_hits, ref.cache_hits);
-      EXPECT_EQ(res.probe_calls, ref.probe_calls);
-      EXPECT_EQ(res.phase_runs, ref.phase_runs);
-      EXPECT_EQ(res.log, ref.log);
-    }
-  }
-}
-
-TEST(SimdAttack, CampaignFingerprintInvariantAcrossBackendsAndThreads) {
-  campaign::CampaignOptions opt;
-  opt.trials = 2;
-  opt.seed = 0x51d5eed;
-  opt.threads = 1;
-  u64 ref_fingerprint = 0;
-  size_t ref_runs = 0;
-  {
-    simd::ScopedBackend scoped(Backend::kScalar);
-    const campaign::CampaignReport ref = campaign::run_campaign(opt);
-    ASSERT_TRUE(ref.all_expected());
-    ref_fingerprint = ref.fingerprint();
-    ref_runs = ref.totals.oracle_runs;
-  }
-
-  std::vector<Backend> backends = {Backend::kScalar};
-  for (const Backend b : usable_wide_backends()) backends.push_back(b);
-  for (const Backend backend : backends) {
-    for (const unsigned threads : {1u, 8u}) {
-      if (backend == Backend::kScalar && threads == 1) continue;  // the reference
-      SCOPED_TRACE(std::string(simd::backend_name(backend)) + ", " +
-                   std::to_string(threads) + " threads");
-      simd::ScopedBackend scoped(backend);
-      campaign::CampaignOptions vopt = opt;
-      vopt.threads = threads;
-      const campaign::CampaignReport rep = campaign::run_campaign(vopt);
-      EXPECT_EQ(rep.fingerprint(), ref_fingerprint);
-      EXPECT_EQ(rep.totals.oracle_runs, ref_runs);
+  // Widths up to 64 run the u64 device, 65-256 the active backend's; 512
+  // pins the clamp to the device's lane count.
+  for (const unsigned width : {1u, 7u, 63u, 64u, 65u, 255u, 256u, 512u}) {
+    // Every width gets full and ragged chunks: n = width + 3 (clamped).
+    const size_t n = std::min<size_t>(kProbes, width + 3);
+    SCOPED_TRACE("width " + std::to_string(width) + ", " + std::to_string(n) + " probes");
+    attack::DeviceOracle oracle(sys, kHostIv, nullptr, width);
+    const auto got =
+        oracle.run_batch(std::span<const std::vector<u8>>(probes).first(n), /*words=*/4);
+    ASSERT_EQ(got.size(), n);
+    EXPECT_EQ(oracle.runs(), n);  // every lane is one paper-cost reconfiguration
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(got[i], ref[i]) << "probe " << i;
     }
   }
 }
