@@ -9,15 +9,12 @@
 // k-th trial the Section VII protected variant, which the attack is expected
 // to *fail* against).  The report is identical for any --threads value
 // except the wall-clock fields.
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <string>
-#include <type_traits>
 
 #include "campaign/campaign.h"
+#include "count_arg.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
@@ -89,21 +86,7 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    // A count that is negative, not a number or wider than its field exits 2
-    // here: strtoull alone would wrap -1 to 2^64-1.
-    auto count = [&](auto& out) {
-      using Field = std::remove_reference_t<decltype(out)>;
-      const char* s = next();
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long n = std::strtoull(s, &end, 0);
-      if (end == s || *end != '\0' || std::strchr(s, '-') != nullptr || errno == ERANGE ||
-          n > std::numeric_limits<Field>::max()) {
-        std::fprintf(stderr, "%s wants a non-negative integer, got '%s'\n", arg.c_str(), s);
-        std::exit(2);
-      }
-      out = static_cast<Field>(n);
-    };
+    auto count = [&](auto& out) { cli::parse_count(arg, next(), out); };
     if (arg == "--trials") {
       count(opt.trials);
     } else if (arg == "--threads") {

@@ -26,7 +26,9 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/campaign.h"
 #include "common/json.h"
+#include "count_arg.h"
 #include "service/client.h"
 
 namespace {
@@ -102,24 +104,27 @@ int main(int argc, char** argv) {
       endpoint_set = true;
     } else if (arg == "--tcp") {
       cfg.tcp = true;
-      cfg.tcp_port = static_cast<u16>(std::strtoul(next(), nullptr, 10));
+      cli::parse_count(arg, next(), cfg.tcp_port);
       endpoint_set = true;
     } else if (arg == "--clients") {
-      cfg.clients = std::strtoul(next(), nullptr, 10);
+      cli::parse_count(arg, next(), cfg.clients, campaign::kMaxThreads);
     } else if (arg == "--tenants") {
-      cfg.tenants = std::max<size_t>(1, std::strtoul(next(), nullptr, 10));
+      cli::parse_count(arg, next(), cfg.tenants);
+      cfg.tenants = std::max<size_t>(1, cfg.tenants);
     } else if (arg == "--jobs") {
-      cfg.jobs_per_client = std::strtoul(next(), nullptr, 10);
+      cli::parse_count(arg, next(), cfg.jobs_per_client);
     } else if (arg == "--trials") {
-      cfg.trials = std::max<size_t>(1, std::strtoul(next(), nullptr, 10));
+      cli::parse_count(arg, next(), cfg.trials);
+      cfg.trials = std::max<size_t>(1, cfg.trials);
     } else if (arg == "--synthetic-ms") {
-      cfg.synthetic_ms = static_cast<u32>(std::strtoul(next(), nullptr, 10));
+      cli::parse_count(arg, next(), cfg.synthetic_ms);
     } else if (arg == "--attack") {
       cfg.attack = true;
     } else if (arg == "--weighted") {
       cfg.weighted = true;
     } else if (arg == "--poll-ms") {
-      cfg.poll_ms = std::max<size_t>(1, std::strtoul(next(), nullptr, 10));
+      cli::parse_count(arg, next(), cfg.poll_ms);
+      cfg.poll_ms = std::max<size_t>(1, cfg.poll_ms);
     } else if (arg == "--out") {
       cfg.out_path = next();
     } else {
@@ -247,10 +252,10 @@ int main(int argc, char** argv) {
         }
         for (const std::string& id : unique_ids) {
           const auto it = server_state.find(id);
-          const bool terminal = it != server_state.end() &&
-                                (it->second == "done" || it->second == "failed" ||
-                                 it->second == "cancelled");
-          if (terminal) {
+          const auto state = it == server_state.end()
+                                 ? std::nullopt
+                                 : service::job_state_from_string(it->second);
+          if (state && service::is_terminal(*state)) {
             ++server_terminal;
           } else {
             ++lost;

@@ -21,7 +21,9 @@
 #include <string>
 #include <thread>
 
+#include "campaign/campaign.h"
 #include "common/json.h"
+#include "count_arg.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "service/server.h"
@@ -79,16 +81,16 @@ int main(int argc, char** argv) {
       srv_opt.unix_path = next();
     } else if (arg == "--tcp") {
       srv_opt.tcp = true;
-      srv_opt.tcp_port = static_cast<u16>(std::strtoul(next(), nullptr, 10));
+      cli::parse_count(arg, next(), srv_opt.tcp_port);
       tcp_set = true;
     } else if (arg == "--workers") {
-      svc_opt.workers = std::strtoul(next(), nullptr, 10);
+      cli::parse_count(arg, next(), svc_opt.workers, campaign::kMaxThreads);
     } else if (arg == "--pool-threads") {
-      svc_opt.pool_threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      cli::parse_count(arg, next(), svc_opt.pool_threads, campaign::kMaxThreads);
     } else if (arg == "--tenant-cap") {
-      svc_opt.limits.per_tenant_capacity = std::strtoul(next(), nullptr, 10);
+      cli::parse_count(arg, next(), svc_opt.limits.per_tenant_capacity);
     } else if (arg == "--total-cap") {
-      svc_opt.limits.total_capacity = std::strtoul(next(), nullptr, 10);
+      cli::parse_count(arg, next(), svc_opt.limits.total_capacity);
     } else if (arg == "--metrics") {
       metrics = true;
     } else if (arg == "--verbose") {

@@ -50,13 +50,16 @@ fi
 # primitives and the envelope's per-thread keystream and MAC caches, and the
 # FINDLUT scans (the engine reads chunks at computed offsets l + c*d), and
 # the run ledger's trial records and checkpoint resume, the probe-file
-# reader and its mutation sweep, and the campaign option checks — where
-# a sanitizer finding is most likely and the runs are cheap enough for CI.
-# smoke_exclude drops the FINDLUT cases that take seconds even
-# uninstrumented: the six randomized-equivalence cases and the noisy
-# voting pipeline.  The full run takes the whole tier-1 label.
-smoke_filter='^(FindLut|ScanEngine|ThreadPool|Parallel|ProbeCache|Retry|FaultyOracle|NoiseProfile|ProbeCacheGuard|AttackCheckpoint|ObsMode|Metrics|Trace|Orchestrator|ServiceProtocol|FairScheduler|JobStore|ServiceSocket|ServiceRestart|ServiceMetricsParity|ServiceDeadline|SimdDispatch|SimdLaneVec|SimdTranspose|FlatMap|ProbeCacheFlatMap|AdaptiveController|StaticController|AdaptivePipeline|AdaptiveCampaign|ControllerConfig|FleetOracleTest|FleetCampaign|DecoyHypothesis|Cracker|CrackCampaign|CrackService|ParentCache|Secure|Sha256|Hmac|Aes256|RunLedger|CampaignOptions)'
-smoke_exclude='^ScanEngine(/RandomizedEquivalence\.AcrossOffsetsAndOrders/.*|\.NoisyVotingPipelineIdenticalAtOneAndEightOracleThreads)$'
+# reader and its mutation sweep, the campaign option checks, and the scalar
+# model (the one settle loop at gate and LUT level with its per-node LUT
+# index, mapping, the full-parse Device) with the batch devices checked
+# against it — where a sanitizer finding is most likely and the runs are
+# cheap enough for CI.  smoke_exclude drops the cases that take seconds
+# even uninstrumented: the six randomized-equivalence FINDLUT cases, the
+# noisy voting pipeline and the 10k-vector batch-vs-scalar sweep.  The
+# full run takes the whole tier-1 label.
+smoke_filter='^(FindLut|ScanEngine|ThreadPool|Parallel|ProbeCache|Retry|FaultyOracle|NoiseProfile|ProbeCacheGuard|AttackCheckpoint|ObsMode|Metrics|Trace|Orchestrator|ServiceProtocol|FairScheduler|JobStore|ServiceSocket|ServiceRestart|ServiceMetricsParity|ServiceDeadline|SimdDispatch|SimdLaneVec|SimdTranspose|FlatMap|ProbeCacheFlatMap|AdaptiveController|StaticController|AdaptivePipeline|AdaptiveCampaign|ControllerConfig|FleetOracleTest|FleetCampaign|DecoyHypothesis|Cracker|CrackCampaign|CrackService|ParentCache|Secure|Sha256|Hmac|Aes256|RunLedger|CampaignOptions|Simulator|Design|Mapper|Sweep/(DesignEquivalence|MappedEquivalence|RandomNetlist)|Device|BatchDevice|BatchLutSim)'
+smoke_exclude='^(ScanEngine(/RandomizedEquivalence\.AcrossOffsetsAndOrders/.*|\.NoisyVotingPipelineIdenticalAtOneAndEightOracleThreads)|BatchLutSim\.MatchesScalarOnTenThousandRandomVectors)$'
 
 status=0
 for san in "${sanitizers[@]}"; do
@@ -67,7 +70,7 @@ for san in "${sanitizers[@]}"; do
     cmake --build "$dir" -j "$(nproc)" --target test_runtime test_faultsim test_obs \
       test_orchestrator test_service test_simd test_probe_controller test_fleet \
       test_cracker test_batch_sim test_crypto test_bitstream test_findlut test_scan_engine \
-      test_campaign
+      test_campaign test_netlist test_mapper test_random_netlists test_fpga test_edge_cases
   else
     cmake --build "$dir" -j "$(nproc)"
   fi

@@ -91,7 +91,7 @@ bool BatchDeviceT<LV>::configure_lane(unsigned lane, std::span<const u8> bytes) 
   // lane write.
   const bool ok = decode_configuration(placed_, layout_, bytes, keys_[lane],
                                        [&](size_t lut, const logic::TruthTable6& f) {
-                                         if (f != base_->luts.luts[lut].function) {
+                                         if (f != base_->functions[lut]) {
                                            sim_.set_lut_table(lut, lane, f.bits());
                                          }
                                        }).empty();

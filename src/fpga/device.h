@@ -7,9 +7,14 @@
 // attacker flips in the bitstream therefore lands exactly where it would on
 // the real part: in some LUT's truth table (or in the CRC words, in which
 // case configuration aborts unless the check was disabled or recomputed).
+//
+// This is the scalar reference device: configure() re-derives every LUT
+// from the bytes it is given, the way the part's configuration logic does,
+// and keystream() runs the scalar simulator.  Incremental configuration
+// lives only in the batch devices (fpga/batch_device.h), which the
+// width-1 runs check against this one.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,16 +26,10 @@
 
 namespace sbm::fpga {
 
-struct DeviceSnapshot;
-
 class Device {
  public:
-  /// `snapshot` (optional, must outlive the device) enables the incremental
-  /// configure fast path: candidates that differ from one of the snapshot's
-  /// parent images only inside the frame-data region skip the full parse
-  /// and re-decode only the sites that differ.  Acceptance is unchanged.
   Device(const netlist::Snow3gDesign& design, const mapper::PlacedDesign& placed,
-         const bitstream::Layout& layout, const DeviceSnapshot* snapshot = nullptr);
+         const bitstream::Layout& layout);
 
   /// Loads a plain bitstream.  Returns false (see error()) on malformed
   /// packets, IDCODE mismatch or CRC failure.
@@ -54,8 +53,7 @@ class Device {
   const netlist::Snow3gDesign& design_;
   const mapper::PlacedDesign& placed_;
   bitstream::Layout layout_;
-  const DeviceSnapshot* snapshot_ = nullptr;
-  mapper::LutNetwork configured_luts_;
+  std::vector<logic::TruthTable6> functions_;  // per mapped LUT, from the last configure
   snow3g::Key key_{};
   bool configured_ = false;
   std::string error_;

@@ -63,7 +63,7 @@ size_t frame_distance(const u8* a, const u8* b, size_t len, size_t bound) {
 /// Overwrites one LUT's function and its lane-transposed table words.
 void set_parent_lut(const mapper::BatchLutTape& tape, ParentImage& img, size_t lut,
                     const logic::TruthTable6& f) {
-  img.luts.luts[lut].function = f;
+  img.functions[lut] = f;
   u64* t = &img.tables[tape.table_offset(lut)];
   const unsigned n = 1u << tape.table_log2(lut);
   for (unsigned m = 0; m < n; ++m) t[m] = ((f.bits() >> m) & 1) ? ~u64{0} : 0;
@@ -118,10 +118,10 @@ std::shared_ptr<const DeviceSnapshot> build_snapshot(const netlist::Snow3gDesign
   auto gold = std::make_shared<ParentImage>();
   const u8* golden_frames = snap->golden.data() + snap->fdri;
   gold->frames.assign(golden_frames, golden_frames + snap->frame_len);
-  gold->luts = placed.mapped;
+  gold->functions.resize(placed.mapped.lut_count());
   const std::string error = decode_configuration(
       placed, layout, snap->golden, gold->key,
-      [&](size_t lut, const logic::TruthTable6& f) { gold->luts.luts[lut].function = f; });
+      [&](size_t lut, const logic::TruthTable6& f) { gold->functions[lut] = f; });
   if (!error.empty()) throw std::invalid_argument("golden bitstream rejected: " + error);
 
   // Compiled evaluation tape + lane-transposed golden tables.  Forcing the
@@ -129,7 +129,7 @@ std::shared_ptr<const DeviceSnapshot> build_snapshot(const netlist::Snow3gDesign
   // read-only on the Network.
   design.net.topo_order();
   snap->tape = std::make_shared<const mapper::BatchLutTape>(design.net, placed.mapped);
-  gold->tables = snap->tape->transpose_tables(gold->luts);
+  gold->tables = snap->tape->transpose_tables(gold->functions);
   snap->golden_parent = std::move(gold);
   return snap;
 }
@@ -211,7 +211,7 @@ std::shared_ptr<const ParentImage> DeviceSnapshot::base_for(const mapper::Placed
   const std::optional<FrameDiff> diff = diff_against(*this, *closest, bytes);
   auto img = std::make_shared<ParentImage>();
   img->frames.assign(cf, cf + frame_len);
-  img->luts = closest->luts;
+  img->functions = closest->functions;
   img->tables = closest->tables;
   for (const auto& [site, init] : diff->sites) {
     for_each_site_lut(placed, site, init, [&](size_t lut, const logic::TruthTable6& f) {

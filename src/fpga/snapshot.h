@@ -1,6 +1,7 @@
-// Golden-configuration snapshot: everything the device model can precompute
-// once per victim so that configuring a *patched* bitstream costs O(diff)
-// instead of O(sites).
+// Golden-configuration snapshot: everything the batch devices
+// (fpga/batch_device.h) precompute once per victim so that configuring a
+// *patched* bitstream costs O(diff) instead of O(sites).  The scalar
+// fpga::Device takes none of this: it full-parses every bitstream.
 //
 // The snapshot records the golden bytes, the same bytes with the CRC check
 // disabled (the template every kDisable-mode probe is derived from), an
@@ -31,7 +32,7 @@
 // against an existing parent.
 // Everything else — truncation, header edits, recomputed CRCs, frame edits
 // under an armed CRC — falls back to the full parser so rejection behavior
-// and error strings stay identical to the pre-snapshot device.
+// and error strings stay identical to fpga::Device's.
 #pragma once
 
 #include <array>
@@ -55,15 +56,16 @@ namespace sbm::fpga {
 
 /// A configuration candidates can be diffed against (see the invariant).
 struct ParentImage {
-  std::vector<u8> frames;   // frame-data bytes: image[fdri, fdri + frame_len)
-  mapper::LutNetwork luts;  // functions decoded from `frames`
-  std::vector<u64> tables;  // tape->transpose_tables(luts)
+  std::vector<u8> frames;  // frame-data bytes: image[fdri, fdri + frame_len)
+  std::vector<logic::TruthTable6> functions;  // per mapped LUT, decoded from `frames`
+  std::vector<u64> tables;  // tape->transpose_tables(functions)
   snow3g::Key key{};
 };
 
-/// Device work done through one snapshot.  Exact in a serial run; under a
-/// pool the parent a chunk finds may depend on scheduling, so the totals
-/// may too (the configurations they produce do not).
+/// Batch-device configure work done through one snapshot (the scalar
+/// fpga::Device counts none).  Exact in a serial run; under a pool the
+/// parent a chunk finds may depend on scheduling, so the totals may too
+/// (the configurations they produce do not).
 struct ConfigureStats {
   u64 sites_decoded = 0;      // LUT sites whose INIT was read and decoded
   u64 parent_promotions = 0;  // candidates cached as new parents
@@ -105,7 +107,8 @@ struct DeviceSnapshot {
                                               std::span<const u8> bytes) const;
 
   ConfigureStats stats() const;
-  /// Adds to sites_decoded (diff_against does; full-parse callers must).
+  /// Adds to sites_decoded (diff_against does; so does BatchDeviceT's
+  /// full-parse fallback).
   void note_sites_decoded(size_t sites) const;
 
  private:

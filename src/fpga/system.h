@@ -34,12 +34,13 @@ struct System {
   bitstream::AssembledBitstream golden;
   SystemOptions options;
 
-  /// Golden-configuration snapshot enabling incremental reconfiguration and
-  /// the bit-sliced batch simulator (built once per system).
+  /// Golden-configuration snapshot behind the batch devices' incremental
+  /// reconfiguration and bit-sliced simulator (built once per system).
   std::shared_ptr<const DeviceSnapshot> snapshot;
 
-  /// Fresh device bound to this system's geometry (not yet configured).
-  Device make_device() const { return Device(design, placed, golden.layout, snapshot.get()); }
+  /// Fresh scalar reference device bound to this system's geometry (not yet
+  /// configured); it full-parses every bitstream.
+  Device make_device() const { return Device(design, placed, golden.layout); }
 
   /// Fresh 64-lane batch device (requires the snapshot, always built).
   BatchDevice make_batch_device() const {

@@ -41,14 +41,14 @@ BatchLutTape::BatchLutTape(const netlist::Network& net, const LutNetwork& mapped
       default: {
         // Gate node: only LUT roots carry logic in the mapped view; interior
         // nodes are covered by some LUT's cone and never evaluated.
-        const auto it = mapped.lut_of_root.find(id);
-        if (it == mapped.lut_of_root.end()) break;
-        const MappedLut& lut = mapped.luts[it->second];
+        const u32 l = mapped.lut_at(id);
+        if (l == LutNetwork::kNoLut) break;
+        const MappedLut& lut = mapped.luts[l];
         LutOp op;
         op.dst = id;
-        op.table_offset = table_offset_[it->second];
-        op.lut_index = static_cast<u32>(it->second);
-        op.k = k_of_[it->second];
+        op.table_offset = table_offset_[l];
+        op.lut_index = l;
+        op.k = k_of_[l];
         op.in.fill(netlist::kNoNode);
         for (size_t j = 0; j < lut.inputs.size(); ++j) op.in[j] = lut.inputs[j];
         start_run(Kind::kLut, static_cast<u32>(lut_ops_.size()));
@@ -60,10 +60,11 @@ BatchLutTape::BatchLutTape(const netlist::Network& net, const LutNetwork& mapped
   }
 }
 
-std::vector<u64> BatchLutTape::transpose_tables(const LutNetwork& mapped) const {
+std::vector<u64> BatchLutTape::transpose_tables(
+    std::span<const logic::TruthTable6> functions) const {
   std::vector<u64> out(table_words_, 0);
-  for (size_t i = 0; i < mapped.luts.size(); ++i) {
-    const u64 bits = mapped.luts[i].function.bits();
+  for (size_t i = 0; i < functions.size(); ++i) {
+    const u64 bits = functions[i].bits();
     u64* t = &out[table_offset_[i]];
     const unsigned n = 1u << k_of_[i];
     for (unsigned m = 0; m < n; ++m) t[m] = ((bits >> m) & 1) ? ~u64{0} : 0;

@@ -1,11 +1,11 @@
 // Bit-sliced lane-parallel simulator for the mapped 6-LUT network.
 //
-// The scalar LutSimulator walks every netlist node each settle and hashes
-// each interior node against lut_of_root — ~4x more dispatches than there
-// are LUTs.  Here the (Network, LutNetwork) pair is compiled once into a
-// flat struct-of-arrays tape holding only the nodes that carry state or
-// logic: DFF loads, LUT evaluations, carry cells and BRAM lookups, grouped
-// into same-kind runs so the settle loop dispatches once per run.
+// The scalar mapper::Simulator walks every netlist node each settle and
+// skips the interior ones — ~4x more dispatches than there are LUTs.  Here
+// the (Network, LutNetwork) pair is compiled once into a flat
+// struct-of-arrays tape holding only the nodes that carry state or logic:
+// DFF loads, LUT evaluations, carry cells and BRAM lookups, grouped into
+// same-kind runs so the settle loop dispatches once per run.
 //
 // Truth tables are stored lane-transposed: a k-input LUT owns 2^k
 // consecutive lane vectors, vector m holding minterm m's value across all
@@ -29,7 +29,7 @@
 // kernel TU (see simd/lane_vec.h for the ODR discipline).  The tape is not
 // templated — one compiled tape is shared by simulators of every width.
 //
-// Lane semantics match mapper::LutSimulator bit-for-bit: lane l of this
+// Lane semantics match mapper::Simulator bit-for-bit: lane l of this
 // simulator equals a scalar simulator configured with lane l's tables and
 // driven with lane l's inputs (tests/test_batch_sim.cpp, tests/test_simd.cpp).
 #pragma once
@@ -91,9 +91,9 @@ class BatchLutTape {
   std::span<const BramOp> bram_ops() const { return bram_ops_; }
 
   /// Lane-transposed broadcast of a configuration: word m of LUT i is
-  /// all-ones iff bit m of luts[i].function is set.  Each word seeds one lane
+  /// all-ones iff bit m of functions[i] is set.  Each word seeds one lane
   /// vector of a simulator of any width (see set_tables).
-  std::vector<u64> transpose_tables(const LutNetwork& mapped) const;
+  std::vector<u64> transpose_tables(std::span<const logic::TruthTable6> functions) const;
 
  private:
   const netlist::Network& net_;
@@ -113,8 +113,6 @@ class BatchLutSimulatorT {
 
   explicit BatchLutSimulatorT(std::shared_ptr<const BatchLutTape> tape);
 
-  /// Loads the same configuration into every lane.
-  void set_tables(const LutNetwork& mapped);
   /// Loads a precomputed lane-transposed table block as the shared scalar
   /// tier (see BatchLutTape::transpose_tables) and drops any per-lane
   /// overrides.  Cost is one memcpy regardless of lane width.
@@ -186,12 +184,6 @@ BatchLutSimulatorT<LV>::BatchLutSimulatorT(std::shared_ptr<const BatchLutTape> t
       bram_out_(tape_->net().brams().size() * 32, LV{}),
       bram_stamp_(tape_->net().brams().size(), 0) {
   reset();
-}
-
-template <class LV>
-void BatchLutSimulatorT<LV>::set_tables(const LutNetwork& mapped) {
-  const std::vector<u64> t = tape_->transpose_tables(mapped);
-  set_tables(t);
 }
 
 template <class LV>

@@ -309,7 +309,10 @@ LutNetwork map_network(const netlist::Network& net, const MapperOptions& options
   // construction of the Network.
   std::sort(out.luts.begin(), out.luts.end(),
             [](const MappedLut& a, const MappedLut& b) { return a.root < b.root; });
-  for (size_t i = 0; i < out.luts.size(); ++i) out.lut_of_root[out.luts[i].root] = i;
+  out.lut_of_node.assign(net.node_count(), LutNetwork::kNoLut);
+  for (size_t i = 0; i < out.luts.size(); ++i) {
+    out.lut_of_node[out.luts[i].root] = static_cast<u32>(i);
+  }
   return out;
 }
 

@@ -78,9 +78,9 @@ StaResult run_sta(const netlist::Network& net, const LutNetwork& mapped,
       arrival[id] = {worst.time + model.carry_delay_ns, worst.source, worst.levels};
       continue;
     }
-    const auto it = mapped.lut_of_root.find(id);
-    if (it == mapped.lut_of_root.end()) continue;
-    const MappedLut& lut = mapped.luts[it->second];
+    const u32 l = mapped.lut_at(id);
+    if (l == LutNetwork::kNoLut) continue;
+    const MappedLut& lut = mapped.luts[l];
     Arrival worst{};
     for (NodeId in : lut.inputs) {
       const Arrival a = get(in);

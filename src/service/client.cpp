@@ -179,8 +179,9 @@ std::optional<std::string> Client::wait_done(const std::string& id, size_t poll_
     const JsonValue* job = resp->find("job");
     const JsonValue* state = job == nullptr ? nullptr : job->find("state");
     if (state == nullptr) return std::nullopt;
-    const std::string& s = state->as_string();
-    if (s == "done" || s == "failed" || s == "cancelled") return s;
+    const std::optional<JobState> s = job_state_from_string(state->as_string());
+    if (!s) return std::nullopt;
+    if (is_terminal(*s)) return state->as_string();
     std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
   }
 }

@@ -46,6 +46,10 @@ std::optional<JobMode> job_mode_from_string(std::string_view s);
 /// exceeding its CampaignOptions::deadline_seconds wall-clock budget.
 enum class JobState : u8 { kQueued, kRunning, kDone, kFailed, kCancelled, kDeadline };
 std::string_view to_string(JobState state);
+/// Every state but queued and running is final.
+constexpr bool is_terminal(JobState state) {
+  return state != JobState::kQueued && state != JobState::kRunning;
+}
 std::optional<JobState> job_state_from_string(std::string_view s);
 
 /// Everything a tenant specifies when submitting a job.

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "mapper/lut_network.h"
-#include "netlist/sim.h"
 #include "netlist/snow3g_design.h"
 #include "snow3g/snow3g.h"
 

@@ -1,10 +1,11 @@
 // Lane-exactness of the bit-sliced simulators: every lane of
-// BatchLutSimulator / BatchDevice must equal the scalar LutSimulator /
-// Device run with that lane's stimulus and configuration — on thousands of
-// random key/IV/patch vectors, for full and ragged lane counts, and through
-// the Device's incremental-configure fast path (including rejected
-// bitstreams) against every kind of parent image the snapshot can diff a
-// candidate against, with parents promoted and evicted by concurrent chunks.
+// BatchLutSimulator / BatchDevice must equal the scalar mapper::Simulator /
+// full-parse Device run with that lane's stimulus and configuration — on
+// thousands of random key/IV/patch vectors, for full and ragged lane counts,
+// and through the batch devices' incremental-configure fast path (including
+// rejected bitstreams) against every kind of parent image the snapshot can
+// diff a candidate against, with parents promoted and evicted by concurrent
+// chunks.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -36,7 +37,7 @@ struct LaneVector {
 };
 
 /// Runs `lanes.size()` probes through one BatchLutSimulator and checks every
-/// lane against a scalar LutSimulator configured and driven identically.
+/// lane against a scalar Simulator configured and driven identically.
 void check_lut_batch(const fpga::System& sys, const std::vector<LaneVector>& lanes,
                      size_t words) {
   mapper::BatchLutSimulator batch(sys.snapshot->tape);
@@ -58,9 +59,9 @@ void check_lut_batch(const fpga::System& sys, const std::vector<LaneVector>& lan
   });
 
   for (size_t l = 0; l < lanes.size(); ++l) {
-    mapper::LutNetwork luts = sys.snapshot->golden_parent->luts;
-    luts.luts[lanes[l].lut].function = logic::TruthTable6(lanes[l].bits);
-    mapper::LutSimulator scalar(sys.design.net, luts);
+    std::vector<logic::TruthTable6> functions = sys.snapshot->golden_parent->functions;
+    functions[lanes[l].lut] = logic::TruthTable6(lanes[l].bits);
+    mapper::Simulator scalar(sys.design.net, sys.placed.mapped, functions);
     const std::vector<u32> expect =
         testing::run_design(sys.design, scalar, lanes[l].key, lanes[l].iv, words);
     ASSERT_EQ(z[l], expect) << "lane " << l << " of " << lanes.size();
@@ -83,7 +84,7 @@ TEST(BatchLutSim, MatchesScalarOnTenThousandRandomVectors) {
   Rng rng(0xba7c4);
   constexpr size_t kBatches = 157;  // 157 * 64 = 10048 random probe vectors
   for (size_t b = 0; b < kBatches; ++b) {
-    check_lut_batch(sys, random_lanes(rng, 64, sys.snapshot->golden_parent->luts.luts.size()),
+    check_lut_batch(sys, random_lanes(rng, 64, sys.snapshot->golden_parent->functions.size()),
                     /*words=*/2);
   }
 }
@@ -92,7 +93,7 @@ TEST(BatchLutSim, RaggedLaneCountsMatchScalar) {
   const fpga::System& sys = shared_system();
   Rng rng(0x7a66ed);
   for (const size_t count : {size_t{1}, size_t{7}, size_t{63}}) {
-    check_lut_batch(sys, random_lanes(rng, count, sys.snapshot->golden_parent->luts.luts.size()),
+    check_lut_batch(sys, random_lanes(rng, count, sys.snapshot->golden_parent->functions.size()),
                     /*words=*/3);
   }
 }
@@ -158,28 +159,8 @@ TEST(BatchDevice, MatchesScalarDevicePerLaneIncludingRejections) {
   }
 }
 
-TEST(DeviceSnapshot, FastPathMatchesFullParseBehavior) {
-  const fpga::System& sys = shared_system();
-  Rng rng(0xfa57);
-  constexpr snow3g::Iv kIv = {0x01234567, 0x89abcdef, 0xdeadbeef, 0x0badf00d};
-  for (const auto& bytes : candidate_bitstreams(sys, rng, 8)) {
-    fpga::Device fast = sys.make_device();  // snapshot-backed
-    fpga::Device slow(sys.design, sys.placed, sys.golden.layout);  // full parse always
-    const bool fast_ok = fast.configure(bytes);
-    const bool slow_ok = slow.configure(bytes);
-    ASSERT_EQ(fast_ok, slow_ok);
-    if (fast_ok) {
-      EXPECT_EQ(fast.loaded_key(), slow.loaded_key());
-      EXPECT_EQ(fast.keystream(kIv, 4), slow.keystream(kIv, 4));
-    } else {
-      // Rejections must be indistinguishable, error string included.
-      EXPECT_EQ(fast.error(), slow.error());
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Parent-rebased configuration (fpga/snapshot.h): a device diffs each
+// Parent-rebased configuration (fpga/snapshot.h): a batch device diffs each
 // candidate against a cached parent image instead of the golden one.  Tests
 // that count promotions build a fresh system so its parent cache starts
 // empty.
@@ -252,23 +233,17 @@ std::vector<u8> random_edit(const fpga::System& sys, const std::vector<u8>& base
   }
 }
 
-/// What the full parser (a Device without a snapshot) makes of a candidate.
+/// What the full parser (the scalar Device) makes of a candidate.
 struct FullParse {
   bool ok = false;
-  std::string error;
-  snow3g::Key key{};
   std::vector<u32> z;
 };
 
 FullParse full_parse(const fpga::System& sys, std::span<const u8> bytes, size_t words) {
-  fpga::Device slow(sys.design, sys.placed, sys.golden.layout);
+  fpga::Device slow = sys.make_device();
   FullParse r;
   r.ok = slow.configure(bytes);
-  r.error = slow.error();
-  if (r.ok) {
-    r.key = slow.loaded_key();
-    r.z = slow.keystream(kRebaseIv, words);
-  }
+  if (r.ok) r.z = slow.keystream(kRebaseIv, words);
   return r;
 }
 
@@ -318,10 +293,9 @@ TEST(DeviceSnapshot, RebasedFastPathMatchesFullParseOnRandomEdits) {
   const std::vector<u8> nocrc = nocrc_golden(sys);
   const std::vector<u8> parent_a = far_image(sys, rng);
   const std::vector<u8> parent_b = far_image(sys, rng);
-  {
-    fpga::Device promote = sys.make_device();
-    ASSERT_TRUE(promote.configure(parent_a));
-    ASSERT_TRUE(promote.configure(parent_b));
+  for (const std::vector<u8>* parent : {&parent_a, &parent_b}) {
+    fpga::BatchDevice promote = sys.make_batch_device();  // its lane 0 picks the base
+    ASSERT_TRUE(promote.configure_lane(0, *parent));
   }
   ASSERT_EQ(sys.snapshot->stats().parent_promotions, 2u);
 
@@ -337,19 +311,12 @@ TEST(DeviceSnapshot, RebasedFastPathMatchesFullParseOnRandomEdits) {
   };
   shuffle(shared, 0);
 
-  // Scalar device: accept/reject, error text, loaded key and keystream.
+  // The edits mix accepted and rejected candidates.
+  std::vector<FullParse> shared_refs;
   size_t rejected = 0;
-  for (size_t i = 0; i < shared.size(); ++i) {
-    const FullParse ref = full_parse(sys, shared[i], kWords);
-    rejected += !ref.ok;
-    fpga::Device fast = sys.make_device();
-    ASSERT_EQ(fast.configure(shared[i]), ref.ok) << "candidate " << i;
-    if (ref.ok) {
-      EXPECT_EQ(fast.loaded_key(), ref.key) << "candidate " << i;
-      EXPECT_EQ(fast.keystream(kRebaseIv, kWords), ref.z) << "candidate " << i;
-    } else {
-      EXPECT_EQ(fast.error(), ref.error) << "candidate " << i;
-    }
+  for (const std::vector<u8>& bytes : shared) {
+    shared_refs.push_back(full_parse(sys, bytes, kWords));
+    rejected += !shared_refs.back().ok;
   }
   EXPECT_GT(rejected, 0u);
   EXPECT_LT(rejected, shared.size());
@@ -371,7 +338,10 @@ TEST(DeviceSnapshot, RebasedFastPathMatchesFullParseOnRandomEdits) {
     pass.push_back(far_image(sys, rng));
     for (int i = 0; i < 6; ++i) pass.push_back(random_edit(sys, pass[0], rng));
     shuffle(pass, 1);
+    std::vector<FullParse> refs;
+    for (const std::vector<u8>& bytes : pass) refs.push_back(full_parse(sys, bytes, kWords));
     pass.insert(pass.end(), shared.begin(), shared.end());
+    refs.insert(refs.end(), shared_refs.begin(), shared_refs.end());
     for (size_t begin = 0; begin < pass.size(); begin += lanes) {
       const unsigned n = static_cast<unsigned>(std::min<size_t>(lanes, pass.size() - begin));
       std::vector<std::optional<std::vector<u32>>> z;
@@ -386,7 +356,7 @@ TEST(DeviceSnapshot, RebasedFastPathMatchesFullParseOnRandomEdits) {
         z = dev->keystream(kRebaseIv, kWords, n);
       }
       for (unsigned l = 0; l < n; ++l) {
-        expect_lane(z[l], full_parse(sys, pass[begin + l], kWords), begin + l);
+        expect_lane(z[l], refs[begin + l], begin + l);
       }
     }
     EXPECT_GT(sys.snapshot->stats().parent_promotions, promotions);

@@ -70,11 +70,12 @@ TEST(Mapper, KeepNodeGetsTrivialCut) {
   const LutNetwork mapped = map_network(net);
   // x must be its own root implementing exactly a^b, and g's LUT must use x
   // as a leaf rather than absorbing it.
-  ASSERT_TRUE(mapped.is_root(x));
-  const MappedLut& xl = mapped.luts[mapped.lut_of_root.at(x)];
+  ASSERT_NE(mapped.lut_at(x), LutNetwork::kNoLut);
+  const MappedLut& xl = mapped.luts[mapped.lut_at(x)];
   EXPECT_EQ(xl.inputs.size(), 2u);
   EXPECT_EQ(xl.function, logic::TruthTable6::var(0) ^ logic::TruthTable6::var(1));
-  const MappedLut& gl = mapped.luts[mapped.lut_of_root.at(g)];
+  ASSERT_NE(mapped.lut_at(g), LutNetwork::kNoLut);
+  const MappedLut& gl = mapped.luts[mapped.lut_at(g)];
   EXPECT_NE(std::find(gl.inputs.begin(), gl.inputs.end(), x), gl.inputs.end());
 }
 
@@ -86,7 +87,7 @@ TEST_P(MappedEquivalence, LutNetworkMatchesSoftwareModel) {
   const snow3g::Iv iv = {rng.next_u32(), rng.next_u32(), rng.next_u32(), rng.next_u32()};
   auto design = netlist::build_snow3g_design();
   const LutNetwork mapped = map_network(design.net);
-  LutSimulator sim(design.net, mapped);
+  Simulator sim(design.net, mapped);
   const std::vector<u32> hw = sbm::testing::run_design(design, sim, k, iv, 10);
   snow3g::Snow3g ref(k, iv);
   EXPECT_EQ(hw, ref.keystream(10));
@@ -98,7 +99,7 @@ TEST_P(MappedEquivalence, PackedDesignStillMatches) {
   const snow3g::Iv iv = {rng.next_u32(), rng.next_u32(), rng.next_u32(), rng.next_u32()};
   auto design = netlist::build_snow3g_design();
   const PlacedDesign placed = pack_and_place(map_network(design.net));
-  LutSimulator sim(design.net, placed.mapped);
+  Simulator sim(design.net, placed.mapped);
   const std::vector<u32> hw = sbm::testing::run_design(design, sim, k, iv, 8);
   snow3g::Snow3g ref(k, iv);
   EXPECT_EQ(hw, ref.keystream(8));
@@ -110,8 +111,8 @@ TEST(Mapper, ProtectedMappingKeepsTargetsAsRoots) {
   auto design = netlist::build_protected_snow3g_design();
   const LutNetwork mapped = map_network(design.net);
   for (const NodeId v : design.target_v) {
-    ASSERT_TRUE(mapped.is_root(v));
-    const MappedLut& lut = mapped.luts[mapped.lut_of_root.at(v)];
+    ASSERT_NE(mapped.lut_at(v), LutNetwork::kNoLut);
+    const MappedLut& lut = mapped.luts[mapped.lut_at(v)];
     EXPECT_LE(lut.inputs.size(), 2u);
   }
   // No other LUT may cover a kept node internally: every LUT referencing a

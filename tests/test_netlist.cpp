@@ -4,13 +4,16 @@
 
 #include "common/rng.h"
 #include "harness.h"
+#include "mapper/lut_network.h"
+#include "mapper/mapper.h"
 #include "netlist/netlist.h"
-#include "netlist/sim.h"
 #include "netlist/snow3g_design.h"
 #include "snow3g/snow3g.h"
 
 namespace sbm::netlist {
 namespace {
+
+using mapper::Simulator;
 
 TEST(Network, ConstantFolding) {
   Network net;
@@ -185,6 +188,44 @@ TEST(Simulator, BramLookup) {
     sim.set_input_word(in, v);
     sim.settle();
     EXPECT_EQ(sim.read_word(out), rotl32(v, 3));
+  }
+}
+
+TEST(Simulator, EvaluatesEachBramOncePerSettle) {
+  // Two chained blocks behind a little logic, at gate and at LUT level: one
+  // settle reads each block once for all 32 of its output bits.
+  Network net;
+  const Word a = net.add_input_word("a");
+  const Word b = net.add_input_word("b");
+  size_t calls[2] = {0, 0};
+  const u32 first = net.add_bram("first", net.xor_word(a, b), [&calls](u32 w) {
+    ++calls[0];
+    return rotl32(w, 5) ^ 0x9e3779b9u;
+  });
+  const Word mid = net.brams()[first].outputs;
+  const u32 second = net.add_bram("second", net.xor_word(mid, a), [&calls](u32 w) {
+    ++calls[1];
+    return ~w;
+  });
+  const Word out = net.brams()[second].outputs;
+  net.add_output_word("out", out);
+  const mapper::LutNetwork mapped = mapper::map_network(net);
+  ASSERT_GT(mapped.lut_count(), 0u);
+
+  Simulator gates(net);
+  Simulator luts(net, mapped);
+  Rng rng(0xb7a3);
+  for (Simulator* sim : {&gates, &luts}) {
+    for (int trial = 1; trial <= 5; ++trial) {
+      const u32 va = rng.next_u32(), vb = rng.next_u32();
+      sim->set_input_word(a, va);
+      sim->set_input_word(b, vb);
+      sim->settle();
+      EXPECT_EQ(calls[0], size_t(trial));
+      EXPECT_EQ(calls[1], size_t(trial));
+      EXPECT_EQ(sim->read_word(out), ~((rotl32(va ^ vb, 5) ^ 0x9e3779b9u) ^ va));
+    }
+    calls[0] = calls[1] = 0;
   }
 }
 

@@ -15,7 +15,6 @@
 #include "mapper/mapper.h"
 #include "mapper/packing.h"
 #include "netlist/netlist.h"
-#include "netlist/sim.h"
 
 namespace sbm::netlist {
 namespace {
@@ -109,24 +108,24 @@ class RandomNetlist : public ::testing::TestWithParam<u64> {};
 TEST_P(RandomNetlist, MappingPreservesBehavior) {
   RandomDesign d = random_design(GetParam());
   const mapper::LutNetwork mapped = mapper::map_network(d.net);
-  Simulator ref(d.net);
-  mapper::LutSimulator lut(d.net, mapped);
+  mapper::Simulator ref(d.net);
+  mapper::Simulator lut(d.net, mapped);
   compare_sims(d, ref, lut, GetParam() ^ 0x1234, 40);
 }
 
 TEST_P(RandomNetlist, PackingPreservesBehavior) {
   RandomDesign d = random_design(GetParam() + 1000);
   const mapper::PlacedDesign placed = mapper::pack_and_place(mapper::map_network(d.net));
-  Simulator ref(d.net);
-  mapper::LutSimulator lut(d.net, placed.mapped);
+  mapper::Simulator ref(d.net);
+  mapper::Simulator lut(d.net, placed.mapped);
   compare_sims(d, ref, lut, GetParam() ^ 0x5678, 40);
 }
 
 TEST_P(RandomNetlist, KeepConstraintsPreserveBehavior) {
   RandomDesign d = random_design(GetParam() + 2000, 6, 4, 120, /*with_keep=*/true);
   const mapper::LutNetwork mapped = mapper::map_network(d.net);
-  Simulator ref(d.net);
-  mapper::LutSimulator lut(d.net, mapped);
+  mapper::Simulator ref(d.net);
+  mapper::Simulator lut(d.net, mapped);
   compare_sims(d, ref, lut, GetParam() ^ 0x9abc, 40);
 }
 

@@ -64,10 +64,7 @@ JobView wait_terminal(CampaignService& service, const std::string& id) {
     const auto view = service.status(id);
     EXPECT_TRUE(view.has_value());
     if (!view) return JobView{};
-    if (view->state == JobState::kDone || view->state == JobState::kFailed ||
-        view->state == JobState::kCancelled || view->state == JobState::kDeadline) {
-      return *view;
-    }
+    if (is_terminal(view->state)) return *view;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   ADD_FAILURE() << "job " << id << " never reached a terminal state";
@@ -676,6 +673,7 @@ TEST(ServiceDeadline, JobExceedingItsBudgetFinalizesAsDeadlineExceeded) {
     ASSERT_TRUE(st.has_value());
     EXPECT_EQ(st->find("job")->find("state")->as_string(), "deadline_exceeded");
     EXPECT_EQ(st->find("job")->find("failure")->as_string(), "deadline_exceeded");
+    EXPECT_EQ(client.wait_done(job_id).value_or(""), "deadline_exceeded");
 
     // ...a late cancel is a 409 like any finished job...
     Request cancel;
