@@ -5,17 +5,17 @@
 //   bitstream_explorer            build the demo system and explore it
 //   bitstream_explorer <file>     explore a bitstream file from disk
 //
-// Prints the packet structure (with the real register opcodes), the frame
-// geometry, a LUT occupancy census, and the most frequent LUT functions up
-// to P equivalence — the "distinct structure" the countermeasure of
-// Section VII deliberately destroys.
+// Prints one line per configuration packet (header word, type, register and
+// word count, as bitstream::walk_packets reads them), the frame geometry,
+// and the LUT occupancy census with the most frequent LUT functions up to P
+// equivalence (attack::evaluate_resistance's) — the "distinct structure"
+// the countermeasure of Section VII deliberately destroys.
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <vector>
 
+#include "attack/resistance.h"
 #include "bitstream/parser.h"
-#include "bitstream/patcher.h"
 #include "fpga/system.h"
 #include "logic/truth_table.h"
 
@@ -23,14 +23,28 @@ using namespace sbm;
 
 namespace {
 
+const char* reg_name(bitstream::Reg reg) {
+  switch (reg) {
+    case bitstream::Reg::kCrc: return "CRC";
+    case bitstream::Reg::kFar: return "FAR";
+    case bitstream::Reg::kFdri: return "FDRI";
+    case bitstream::Reg::kCmd: return "CMD";
+    case bitstream::Reg::kIdcode: return "IDCODE";
+    case bitstream::Reg::kAxss: return "AXSS";
+  }
+  return "?";
+}
+
 void explore(std::span<const u8> bytes) {
   std::printf("bitstream: %zu bytes\n", bytes.size());
 
   // --- packet walk -----------------------------------------------------------
-  const size_t words = bytes.size() / 4;
-  size_t w = 0;
-  while (w < words && bitstream::read_word(bytes, w) != bitstream::kSyncWord) ++w;
-  std::printf("sync word 0xAA995566 at byte %zu\n", w * 4);
+  bitstream::walk_packets(bytes, [&](const bitstream::Packet& p) {
+    std::printf("  byte %5zu  %08x  type %d write %-6s %u word(s)\n", p.header * 4,
+                bitstream::read_word(bytes, p.header), p.type2 ? 2 : 1, reg_name(p.reg),
+                p.count);
+    return true;
+  });
   const bitstream::ParseResult parsed = bitstream::parse_bitstream(bytes);
   if (!parsed.ok) {
     std::printf("parse error: %s\n", parsed.error.c_str());
@@ -43,36 +57,18 @@ void explore(std::span<const u8> bytes) {
               bitstream::kFrameBytes, parsed.fdri_byte_offset);
 
   // --- LUT census --------------------------------------------------------------
-  const size_t frames = parsed.frame_data.size() / bitstream::kFrameBytes;
-  size_t occupied = 0, empty = 0;
-  std::map<u64, int> histogram;  // canonical P-class representative -> count
-  for (size_t frame = 0; frame + 3 < frames; frame += 4) {
-    for (size_t off = 0; off + 1 < bitstream::kFrameBytes; off += 2) {
-      const size_t l = parsed.fdri_byte_offset + frame * bitstream::kFrameBytes + off;
-      const u64 init =
-          bitstream::read_lut_init(bytes, l, bitstream::kFrameBytes,
-                                   bitstream::device_chunk_orders()[0]);
-      if (init == 0) {
-        ++empty;
-        continue;
-      }
-      ++occupied;
-      histogram[logic::p_canonical(logic::TruthTable6(init)).bits()]++;
-    }
-  }
-  std::printf("LUT slots: %zu occupied, %zu empty\n", occupied, empty);
+  const attack::ResistanceReport census = attack::evaluate_resistance(bytes);
+  std::printf("LUT slots: %zu occupied, %zu empty\n", census.occupied_luts, census.empty_slots);
 
   std::printf("most frequent LUT functions (canonical P-class, SLICEL reading):\n");
-  std::vector<std::pair<int, u64>> top;
-  for (const auto& [tt, count] : histogram) top.emplace_back(count, tt);
-  std::sort(top.rbegin(), top.rend());
+  const auto& top = census.top_classes;
   for (size_t i = 0; i < std::min<size_t>(top.size(), 12); ++i) {
     const logic::TruthTable6 f(top[i].second);
-    std::printf("  %4d x %s  (support %u)\n", top[i].first, f.to_string().c_str(),
+    std::printf("  %4zu x %s  (support %u)\n", top[i].first, f.to_string().c_str(),
                 f.support_size());
   }
   std::printf("distinct P classes: %zu — the richer this histogram, the easier the\n",
-              histogram.size());
+              census.p_class_histogram.size());
   std::printf("reverse engineering; Section VII's countermeasure flattens it.\n");
 }
 

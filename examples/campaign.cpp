@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       count(opt.threads);
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(next(), nullptr, 0);
+      count(opt.seed);
     } else if (arg == "--protected-every") {
       count(opt.protected_every);
     } else if (arg == "--crack") {
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
       }
       opt.noise = *profile;
     } else if (arg == "--death") {
-      opt.noise.death = std::strtod(next(), nullptr);
+      cli::parse_probability(arg, next(), opt.noise.death);
     } else if (arg == "--fleet") {
       count(opt.fleet_size);
     } else if (arg == "--fleet-factors") {

@@ -1,7 +1,8 @@
-// Checked count parsing for the campaign CLIs (campaign, campaign_server,
+// Checked number parsing for the campaign CLIs (campaign, campaign_server,
 // campaign_load): bare strtoul would wrap -1 to 2^64-1 and truncate an
-// over-wide value into its field, so a thread count or port would come out
-// as something nobody asked for.
+// over-wide value into its field, and bare strtoul/strtod read "banana" as
+// 0, so a thread count, seed or probability would come out as something
+// nobody asked for.
 #pragma once
 
 #include <cerrno>
@@ -28,6 +29,18 @@ void parse_count(const std::string& flag, const char* value, Field& out,
     std::exit(2);
   }
   out = static_cast<Field>(n);
+}
+
+/// Parses `value` (the argument of option `flag`) as a probability in
+/// [0, 1]; anything else prints why and exits 2.
+inline void parse_probability(const std::string& flag, const char* value, double& out) {
+  char* end = nullptr;
+  const double p = std::strtod(value, &end);
+  if (end == value || *end != '\0' || !(p >= 0 && p <= 1)) {
+    std::fprintf(stderr, "%s wants a probability in [0, 1], got '%s'\n", flag.c_str(), value);
+    std::exit(2);
+  }
+  out = p;
 }
 
 }  // namespace sbm::cli

@@ -53,13 +53,16 @@ fi
 # reader and its mutation sweep, the campaign option checks, and the scalar
 # model (the one settle loop at gate and LUT level with its per-node LUT
 # index, mapping, the full-parse Device) with the batch devices checked
-# against it — where a sanitizer finding is most likely and the runs are
-# cheap enough for CI.  smoke_exclude drops the cases that take seconds
-# even uninstrumented: the six randomized-equivalence FINDLUT cases, the
-# noisy voting pipeline and the 10k-vector batch-vs-scalar sweep.  The
-# full run takes the whole tier-1 label.
-smoke_filter='^(FindLut|ScanEngine|ThreadPool|Parallel|ProbeCache|Retry|FaultyOracle|NoiseProfile|ProbeCacheGuard|AttackCheckpoint|ObsMode|Metrics|Trace|Orchestrator|ServiceProtocol|FairScheduler|JobStore|ServiceSocket|ServiceRestart|ServiceMetricsParity|ServiceDeadline|SimdDispatch|SimdLaneVec|SimdTranspose|FlatMap|ProbeCacheFlatMap|AdaptiveController|StaticController|AdaptivePipeline|AdaptiveCampaign|ControllerConfig|FleetOracleTest|FleetCampaign|DecoyHypothesis|Cracker|CrackCampaign|CrackService|ParentCache|Secure|Sha256|Hmac|Aes256|RunLedger|CampaignOptions|Simulator|Design|Mapper|Sweep/(DesignEquivalence|MappedEquivalence|RandomNetlist)|Device|BatchDevice|BatchLutSim)'
-smoke_exclude='^(ScanEngine(/RandomizedEquivalence\.AcrossOffsetsAndOrders/.*|\.NoisyVotingPipelineIdenticalAtOneAndEightOracleThreads)|BatchLutSim\.MatchesScalarOnTenThousandRandomVectors)$'
+# against it, and the bitstream format (the packet walker behind the
+# parser and both CRC tools, with their mutation sweeps, LUT coding, the
+# layout, assembly) with the slot-geometry users (resistance census, BiFI)
+# — where a sanitizer finding is most likely and the runs are cheap enough
+# for CI.  smoke_exclude drops the cases that take seconds even
+# uninstrumented: the six randomized-equivalence FINDLUT cases, the noisy
+# voting pipeline, the 10k-vector batch-vs-scalar sweep and the 10k
+# byte-flip parser sweep.  The full run takes the whole tier-1 label.
+smoke_filter='^(FindLut|ScanEngine|ThreadPool|Parallel|ProbeCache|Retry|FaultyOracle|NoiseProfile|ProbeCacheGuard|AttackCheckpoint|ObsMode|Metrics|Trace|Orchestrator|ServiceProtocol|FairScheduler|JobStore|ServiceSocket|ServiceRestart|ServiceMetricsParity|ServiceDeadline|SimdDispatch|SimdLaneVec|SimdTranspose|FlatMap|ProbeCacheFlatMap|AdaptiveController|StaticController|AdaptivePipeline|AdaptiveCampaign|ControllerConfig|FleetOracleTest|FleetCampaign|DecoyHypothesis|Cracker|CrackCampaign|CrackService|ParentCache|Secure|Sha256|Hmac|Aes256|RunLedger|CampaignOptions|Simulator|Design|Mapper|Sweep/(DesignEquivalence|MappedEquivalence|RandomNetlist|MutatedBitstream)|Device|BatchDevice|BatchLutSim|Parser|Format|AssembledSystem|AssemblerGeometry|LutCoding|Layout|Resistance|Bifi)'
+smoke_exclude='^(ScanEngine(/RandomizedEquivalence\.AcrossOffsetsAndOrders/.*|\.NoisyVotingPipelineIdenticalAtOneAndEightOracleThreads)|BatchLutSim\.MatchesScalarOnTenThousandRandomVectors|ParserRobustness\.TenThousandSeededByteFlips)$'
 
 status=0
 for san in "${sanitizers[@]}"; do
@@ -70,7 +73,8 @@ for san in "${sanitizers[@]}"; do
     cmake --build "$dir" -j "$(nproc)" --target test_runtime test_faultsim test_obs \
       test_orchestrator test_service test_simd test_probe_controller test_fleet \
       test_cracker test_batch_sim test_crypto test_bitstream test_findlut test_scan_engine \
-      test_campaign test_netlist test_mapper test_random_netlists test_fpga test_edge_cases
+      test_campaign test_netlist test_mapper test_random_netlists test_fpga test_edge_cases \
+      test_parser_robustness test_resistance test_bifi
   else
     cmake --build "$dir" -j "$(nproc)"
   fi

@@ -2,7 +2,6 @@
 
 #include <set>
 
-#include "bitstream/parser.h"
 #include "bitstream/patcher.h"
 
 namespace sbm::attack {
@@ -64,23 +63,7 @@ BifiResult run_bifi(Oracle& oracle, std::span<const u8> golden_bitstream,
 
   // Enumerate occupied LUT positions from the frame geometry, as BiFI does
   // after locating the FDRI write.
-  const bitstream::ParseResult parsed = bitstream::parse_bitstream(base);
-  if (!parsed.ok) return result;
-  std::vector<size_t> sites;
-  const size_t frames = parsed.frame_data.size() / bitstream::kFrameBytes;
-  for (size_t frame = 0; frame + 3 < frames; frame += 4) {
-    for (size_t off = 0; off + 1 < bitstream::kFrameBytes; off += 2) {
-      const size_t l = parsed.fdri_byte_offset + frame * bitstream::kFrameBytes + off;
-      bool empty = true;
-      for (unsigned c = 0; c < 4 && empty; ++c) {
-        empty = base[l + c * options.find.offset_d] == 0 &&
-                base[l + c * options.find.offset_d + 1] == 0;
-      }
-      if (!empty) sites.push_back(l);
-    }
-  }
-
-  for (const size_t l : sites) {
+  for (const size_t l : bitstream::LutSlots(base).occupied(base, options.find.offset_d)) {
     for (const auto& order : bitstream::device_chunk_orders()) {
       const u64 init = bitstream::read_lut_init(base, l, options.find.offset_d, order);
       for (const BifiRule rule : all_bifi_rules()) {

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "bitstream/parser.h"
 #include "bitstream/patcher.h"
 
 namespace sbm::attack {
@@ -103,17 +102,10 @@ std::vector<HalfMatch> find_xor2_halves(std::span<const u8> bitstream,
 
 std::vector<HalfMatch> unique_xor2_half_sites(std::span<const u8> bitstream,
                                               const FindLutOptions& options, bool fold_vacuous) {
-  const bitstream::ParseResult parsed =
-      bitstream::parse_bitstream({bitstream.data(), bitstream.size()});
-  const auto aligned = [&](size_t l) {
-    if (!parsed.ok || parsed.fdri_byte_offset == 0) return true;
-    if (l < parsed.fdri_byte_offset) return false;
-    const size_t rel = l - parsed.fdri_byte_offset;
-    return rel % 2 == 0 && (rel / bitstream::kFrameBytes) % 4 == 0;
-  };
+  const bitstream::LutSlots slots(bitstream);
   std::map<std::pair<size_t, bool>, HalfMatch> unique;
   for (const HalfMatch& h : find_xor2_halves(bitstream, options)) {
-    if (!aligned(h.byte_index)) continue;
+    if (!slots.contains(h.byte_index)) continue;
     const u64 stored =
         bitstream::read_lut_init(bitstream, h.byte_index, options.offset_d, h.order);
     // A vacuous table (both halves identical) is a single-output LUT the

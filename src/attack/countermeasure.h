@@ -30,9 +30,8 @@ struct HalfMatch {
 /// byte positions [begin, end) — the paper's frame-constrained search (203
 /// of 481 hits).  The half scan is a serial per-position loop over the two
 /// device chunk orders: it reads options.offset_d only, and ignores
-/// options.pool and options.try_all_orders.  At each position the first
-/// order with any half match wins, and both halves are reported if both
-/// match under it.
+/// options.try_all_orders.  At each position the first order with any half
+/// match wins, and both halves are reported if both match under it.
 std::vector<HalfMatch> find_lut_half(std::span<const u8> bitstream, u32 half_function,
                                      const FindLutOptions& options = {}, size_t begin = 0,
                                      size_t end = SIZE_MAX);

@@ -8,7 +8,6 @@
 
 #include "attack/countermeasure.h"
 #include "attack/scan.h"
-#include "bitstream/parser.h"
 #include "bitstream/patcher.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -320,26 +319,14 @@ bool Attack::phase_feedback(AttackResult& result) {
   // the v = 0 rewrites from cheapest to deepest: the LUT *is* v (zero it),
   // v is a leaf (single cofactor), or v is an absorbed XOR group of 2..4
   // variables.  Run only while W bits remain unaccounted for.
-  const bitstream::ParseResult parsed = bitstream::parse_bitstream(base_);
   std::vector<size_t> sites;
   std::set<size_t> queued;
   auto enqueue = [&](size_t l) {
     if (!z_claimed.count(l) && queued.insert(l).second) sites.push_back(l);
   };
   for (const Patch& p : beta_patches_) enqueue(p.byte_index);
-  if (parsed.ok) {
-    const size_t frames = parsed.frame_data.size() / bitstream::kFrameBytes;
-    for (size_t frame = 0; frame + 3 < frames; frame += 4) {
-      for (size_t off = 0; off + 1 < bitstream::kFrameBytes; off += 2) {
-        const size_t l = parsed.fdri_byte_offset + frame * bitstream::kFrameBytes + off;
-        bool empty = true;
-        for (unsigned c = 0; c < 4 && empty; ++c) {
-          empty = base_[l + c * config_.find.offset_d] == 0 &&
-                  base_[l + c * config_.find.offset_d + 1] == 0;
-        }
-        if (!empty) enqueue(l);
-      }
-    }
+  for (const size_t l : bitstream::LutSlots(base_).occupied(base_, config_.find.offset_d)) {
+    enqueue(l);
   }
 
   auto groups_of = [](const TruthTable6& t, unsigned vars, unsigned size) {

@@ -8,7 +8,6 @@
 
 #include "attack/countermeasure.h"
 #include "attack/scan.h"
-#include "bitstream/parser.h"
 #include "bitstream/patcher.h"
 #include "common/json.h"
 #include "obs/metrics.h"
@@ -310,13 +309,7 @@ std::optional<BetaStage> establish_beta(ProbeSession& session, const std::vector
   // straddle two real LUTs; the attacker prunes those with the frame
   // geometry learned from parsing the packet stream (FDRI offset and frame
   // size are format knowledge, exactly as in Section V).
-  const bitstream::ParseResult parsed = bitstream::parse_bitstream(base);
-  auto aligned = [&](size_t l) {
-    if (!parsed.ok || parsed.fdri_byte_offset == 0) return true;
-    if (l < parsed.fdri_byte_offset) return false;
-    const size_t rel = l - parsed.fdri_byte_offset;
-    return rel % 2 == 0 && (rel / bitstream::kFrameBytes) % 4 == 0;
-  };
+  const bitstream::LutSlots slots(base);
 
   struct MuxHit {
     LutMatch match;         // full-table hit (half_hit == false)
@@ -330,7 +323,7 @@ std::optional<BetaStage> establish_beta(ProbeSession& session, const std::vector
   for (size_t ci = 0; ci < mux_counts.size(); ++ci) {
     const Candidate& c = mux_scan_family()[ci];  // stable storage for MuxHit::cand
     for (const LutMatch& m : mux_counts[ci].matches) {
-      if (aligned(m.byte_index) && seen.insert(m.byte_index).second) {
+      if (slots.contains(m.byte_index) && seen.insert(m.byte_index).second) {
         hits.push_back({m, {}, &c, false});
       }
     }
@@ -342,7 +335,7 @@ std::optional<BetaStage> establish_beta(ProbeSession& session, const std::vector
   for (const Candidate& c : mux_scan_family()) {
     if (c.function.support_size() > 5 || c.function.depends_on(5)) continue;
     for (const HalfMatch& h : find_lut_half(base, c.function.half(0), find)) {
-      if (!aligned(h.byte_index) || seen.count(h.byte_index)) continue;
+      if (!slots.contains(h.byte_index) || seen.count(h.byte_index)) continue;
       if (seen_half.insert({h.byte_index, h.o5_half}).second) hits.push_back({{}, h, &c, true});
     }
   }

@@ -4,7 +4,6 @@
 
 #include "attack/countermeasure.h"
 #include "attack/scan.h"
-#include "bitstream/parser.h"
 #include "bitstream/patcher.h"
 
 namespace sbm::attack {
@@ -29,22 +28,14 @@ ResistanceReport evaluate_resistance(std::span<const u8> bitstream,
   ResistanceReport report;
 
   // LUT census over the frame geometry.
-  const bitstream::ParseResult parsed = bitstream::parse_bitstream(bitstream);
-  if (parsed.ok) {
-    const size_t frames = parsed.frame_data.size() / bitstream::kFrameBytes;
-    for (size_t frame = 0; frame + 3 < frames; frame += 4) {
-      for (size_t off = 0; off + 1 < bitstream::kFrameBytes; off += 2) {
-        const size_t l = parsed.fdri_byte_offset + frame * bitstream::kFrameBytes + off;
-        const u64 init = bitstream::read_lut_init(bitstream, l, options.offset_d,
-                                                  bitstream::device_chunk_orders()[0]);
-        if (init == 0) {
-          ++report.empty_slots;
-          continue;
-        }
-        ++report.occupied_luts;
-        report.p_class_histogram[logic::p_canonical(logic::TruthTable6(init)).bits()]++;
-      }
-    }
+  const bitstream::LutSlots slots(bitstream);
+  const std::vector<size_t> occupied = slots.occupied(bitstream, options.offset_d);
+  report.occupied_luts = occupied.size();
+  report.empty_slots = slots.positions().size() - occupied.size();
+  for (const size_t l : occupied) {
+    const u64 init = bitstream::read_lut_init(bitstream, l, options.offset_d,
+                                              bitstream::device_chunk_orders()[0]);
+    report.p_class_histogram[logic::p_canonical(logic::TruthTable6(init)).bits()]++;
   }
   for (const auto& [tt, count] : report.p_class_histogram) {
     report.top_classes.emplace_back(count, tt);

@@ -47,8 +47,6 @@ class PatternIndex {
 
   size_t candidates() const { return num_candidates_; }
   bool try_all_orders() const { return try_all_orders_; }
-  /// Compiled (pattern, order) memory images — the index working-set size.
-  size_t entry_count() const { return entries_.size(); }
 
   /// Scans every byte position valid for `offset_d` and appends candidate
   /// c's matches to out[c], ascending l.  out must have at least

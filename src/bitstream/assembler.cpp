@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "bitstream/patcher.h"
+
 namespace sbm::bitstream {
 
 size_t Layout::slot_offset(size_t slot) {
@@ -51,11 +53,9 @@ AssembledBitstream assemble(const mapper::PlacedDesign& placed, const snow3g::Ke
 
   // ---- packet stream --------------------------------------------------------
   std::vector<u8>& b = out.bytes;
-  ConfigCrc crc;
   auto emit_reg = [&](Reg reg, u32 word) {
     append_word(b, type1_write(reg, 1));
     append_word(b, word);
-    crc.feed(reg, word);
   };
 
   for (int i = 0; i < 4; ++i) append_word(b, kDummyWord);
@@ -66,26 +66,20 @@ AssembledBitstream assemble(const mapper::PlacedDesign& placed, const snow3g::Ke
   append_word(b, kNoop);
 
   emit_reg(Reg::kCmd, static_cast<u32>(Cmd::kRcrc));
-  crc.reset();
   emit_reg(Reg::kIdcode, kDeviceIdCode);
 
   // FDRI: Type 1 with word count 0, then Type 2 with the payload.
   append_word(b, type1_write(Reg::kFdri, 0));
-  const u32 fdri_words = static_cast<u32>(frames.size() / 4);
-  append_word(b, type2_write(fdri_words));
+  append_word(b, type2_write(static_cast<u32>(frames.size() / 4)));
   layout.fdri_byte_offset = b.size();
   b.insert(b.end(), frames.begin(), frames.end());
-  for (size_t w = 0; w < fdri_words; ++w) {
-    crc.feed(Reg::kFdri, read_word(std::span<const u8>(frames), w));
-  }
 
-  // CRC check word (not itself accumulated), then desync.
-  append_word(b, type1_write(Reg::kCrc, 1));
-  append_word(b, crc.value());
-  append_word(b, type1_write(Reg::kCmd, 1));
-  append_word(b, static_cast<u32>(Cmd::kDesync));
+  // CRC check word, filled in by recompute_crc, then desync.
+  emit_reg(Reg::kCrc, 0);
+  emit_reg(Reg::kCmd, static_cast<u32>(Cmd::kDesync));
   append_word(b, kNoop);
   append_word(b, kNoop);
+  recompute_crc(b);
   return out;
 }
 

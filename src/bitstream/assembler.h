@@ -50,7 +50,8 @@ struct AssembledBitstream {
 };
 
 /// Emits the full (unencrypted) bitstream for a placed design with the key
-/// embedded.  The CRC register write at the end carries the correct CRC-32C.
+/// embedded.  The CRC register write at the end carries the correct CRC-32C,
+/// filled in by recompute_crc.
 AssembledBitstream assemble(const mapper::PlacedDesign& placed, const snow3g::Key& key);
 
 }  // namespace sbm::bitstream

@@ -9,9 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <functional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/bits.h"
@@ -71,6 +70,37 @@ class ConfigCrc {
  private:
   crypto::Crc32Engine engine_;
 };
+
+/// One configuration packet as the packet walker reads it.
+struct Packet {
+  size_t header = 0;   // word index of the header word
+  bool type2 = false;  // Type 2: writes the register of the last Type 1
+  Reg reg = Reg::kCrc;
+  size_t payload = 0;  // word index of the first payload word
+  u32 count = 0;       // payload words
+  u32 crc = 0;         // CRC-32C the configuration logic holds at this packet
+};
+
+/// How a packet walk ended.
+enum class WalkEnd {
+  kEnd,        // ran out of words
+  kDesync,     // after the packet that wrote DESYNC to CMD
+  kStopped,    // the visitor returned false
+  kNoSync,     // no sync word
+  kBadHeader,  // a header that is neither a Type 1 nor a Type 2 write
+  kTruncated,  // a packet's payload runs past the last word
+};
+
+/// The configuration logic's reading of a packet stream, the one place the
+/// format's grammar lives.  Finds the sync word, decodes Type-1/Type-2
+/// write headers (the register is sticky across Type 2 packets and starts
+/// at CRC), skips 0/NOOP/dummy words, and hands each packet to `visit`
+/// with the CRC due at that point.  The running CRC-32C is fed every
+/// payload word of every non-CRC packet and reset after RCRC.  A trailing
+/// partial word is ignored.  `visit` runs before the payload is read, so it
+/// may rewrite a CRC packet's words in place; returning false stops the walk.
+WalkEnd walk_packets(std::span<const u8> bytes,
+                     const std::function<bool(const Packet&)>& visit);
 
 /// 32-bit big-endian word access into a byte buffer.
 u32 read_word(std::span<const u8> bytes, size_t word_index);

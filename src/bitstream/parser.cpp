@@ -1,13 +1,6 @@
 #include "bitstream/parser.h"
 
 namespace sbm::bitstream {
-namespace {
-
-constexpr u32 kType1WriteMask = 0b111u << 29 | 0b11u << 27;
-constexpr u32 kType1Write = 0b001u << 29 | 0b10u << 27;
-constexpr u32 kType2Write = 0b010u << 29 | 0b10u << 27;
-
-}  // namespace
 
 ParseResult parse_bitstream(std::span<const u8> bytes) {
   ParseResult res;
@@ -15,85 +8,58 @@ ParseResult parse_bitstream(std::span<const u8> bytes) {
     res.error = "bitstream not word-aligned";
     return res;
   }
-  const size_t words = bytes.size() / 4;
-
-  // Find the sync word.
-  size_t w = 0;
-  while (w < words && read_word(bytes, w) != kSyncWord) ++w;
-  if (w == words) {
-    res.error = "no sync word";
-    return res;
-  }
-  ++w;
-
-  ConfigCrc crc;
-  Reg last_reg = Reg::kCrc;
-  while (w < words && !res.desynced) {
-    const u32 header = read_word(bytes, w++);
-    if (header == 0 || header == kNoop || header == kDummyWord) continue;
-
-    u32 count = 0;
-    Reg reg = last_reg;
-    if ((header & kType1WriteMask) == kType1Write) {
-      reg = static_cast<Reg>((header >> 13) & 0x3FFFu);
-      count = header & 0x7FFu;
-      last_reg = reg;
-    } else if ((header & kType1WriteMask) == kType2Write) {
-      count = header & 0x07FFFFFFu;
-    } else {
-      res.error = "unknown packet header";
-      return res;
-    }
-    if (w + count > words) {
-      res.error = "truncated packet";
-      return res;
-    }
-
-    switch (reg) {
-      case Reg::kCmd:
-        for (u32 i = 0; i < count; ++i) {
-          const u32 v = read_word(bytes, w + i);
-          crc.feed(reg, v);
-          if (v == static_cast<u32>(Cmd::kRcrc)) crc.reset();
-          if (v == static_cast<u32>(Cmd::kDesync)) res.desynced = true;
-        }
-        break;
+  const WalkEnd end = walk_packets(bytes, [&](const Packet& p) {
+    switch (p.reg) {
       case Reg::kCrc:
-        for (u32 i = 0; i < count; ++i) {
-          const u32 expect = read_word(bytes, w + i);
-          if (expect != crc.value()) {
+        for (size_t w = p.payload; w < p.payload + p.count; ++w) {
+          if (read_word(bytes, w) != p.crc) {
             res.error = "CRC mismatch: configuration aborted (INIT_B low)";
-            return res;
+            return false;
           }
           res.crc_checked = true;
         }
         break;
       case Reg::kFdri:
-        if (count > 0) {
-          res.fdri_byte_offset = (w)*4;
-          res.frame_data.insert(res.frame_data.end(), bytes.begin() + static_cast<long>(w * 4),
-                                bytes.begin() + static_cast<long>((w + count) * 4));
-          for (u32 i = 0; i < count; ++i) crc.feed(reg, read_word(bytes, w + i));
+        if (p.count > 0) {
+          res.fdri_byte_offset = p.payload * 4;
+          const auto data = bytes.subspan(p.payload * 4, size_t{p.count} * 4);
+          res.frame_data.insert(res.frame_data.end(), data.begin(), data.end());
         }
         break;
       case Reg::kIdcode:
-        for (u32 i = 0; i < count; ++i) {
-          const u32 v = read_word(bytes, w + i);
+        for (size_t w = p.payload; w < p.payload + p.count; ++w) {
+          const u32 v = read_word(bytes, w);
           if (v != kDeviceIdCode) {
             res.error = "IDCODE mismatch";
-            return res;
+            return false;
           }
           res.idcode = v;
-          crc.feed(reg, v);
         }
         break;
       default:
-        for (u32 i = 0; i < count; ++i) crc.feed(reg, read_word(bytes, w + i));
         break;
     }
-    w += count;
-  }
+    return true;
+  });
 
+  switch (end) {
+    case WalkEnd::kNoSync:
+      res.error = "no sync word";
+      return res;
+    case WalkEnd::kBadHeader:
+      res.error = "unknown packet header";
+      return res;
+    case WalkEnd::kTruncated:
+      res.error = "truncated packet";
+      return res;
+    case WalkEnd::kStopped:
+      return res;
+    case WalkEnd::kDesync:
+      res.desynced = true;
+      break;
+    case WalkEnd::kEnd:
+      break;
+  }
   res.ok = true;
   return res;
 }

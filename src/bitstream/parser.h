@@ -1,8 +1,8 @@
 // Configuration-stream parser: what the device's configuration logic does.
 //
-// Walks the packet stream after the sync word, maintains the running
-// CRC-32C, collects FDRI frame data and verifies the CRC register write.
-// Following the paper's Section V-B, an attacker may disable the check by
+// A visitor of walk_packets (format.h), which owns the packet grammar and
+// the running CRC-32C: it collects FDRI frame data, checks IDCODE and
+// compares each CRC register write with the CRC due there.  Following the paper's Section V-B, an attacker may disable the check by
 // replacing the "write CRC" command and its value with all-0 words; all-0
 // words are ignored by the packet engine, so a zeroed CRC write simply never
 // triggers a comparison.

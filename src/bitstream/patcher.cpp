@@ -2,7 +2,42 @@
 
 #include <stdexcept>
 
+#include "bitstream/parser.h"
+
 namespace sbm::bitstream {
+
+LutSlots::LutSlots(std::span<const u8> bytes) {
+  const ParseResult parsed = parse_bitstream(bytes);
+  parsed_ = parsed.ok;
+  fdri_byte_offset_ = parsed.fdri_byte_offset;
+  frames_ = parsed.frame_data.size() / kFrameBytes;
+}
+
+std::vector<size_t> LutSlots::positions() const {
+  std::vector<size_t> out;
+  if (!parsed_) return out;
+  for (size_t frame = 0; frame + 3 < frames_; frame += 4) {
+    for (size_t off = 0; off + 1 < kFrameBytes; off += 2) {
+      out.push_back(fdri_byte_offset_ + frame * kFrameBytes + off);
+    }
+  }
+  return out;
+}
+
+std::vector<size_t> LutSlots::occupied(std::span<const u8> bytes, size_t d) const {
+  std::vector<size_t> out;
+  for (const size_t l : positions()) {
+    if (read_lut_init(bytes, l, d, device_chunk_orders()[0]) != 0) out.push_back(l);
+  }
+  return out;
+}
+
+bool LutSlots::contains(size_t l) const {
+  if (!parsed_ || fdri_byte_offset_ == 0) return true;
+  if (l < fdri_byte_offset_) return false;
+  const size_t rel = l - fdri_byte_offset_;
+  return rel % 2 == 0 && (rel / kFrameBytes) % 4 == 0;
+}
 
 u64 read_lut_init(std::span<const u8> bytes, size_t l, size_t d, const std::array<u8, 4>& order) {
   if (l + 3 * d + kChunkBytes > bytes.size()) throw std::out_of_range("LUT index out of range");
@@ -27,94 +62,30 @@ void write_lut_init(std::span<u8> bytes, size_t l, size_t d, const std::array<u8
 size_t disable_crc(std::vector<u8>& bytes) {
   // Walk the packet stream (rather than grepping raw bytes, which could
   // collide with frame data that happens to contain 0x30000001) and zero
-  // every CRC write header together with its value words.
-  const size_t words = bytes.size() / 4;
-  size_t w = 0;
-  while (w < words && read_word(bytes, w) != kSyncWord) ++w;
-  if (w == words) return 0;
-  ++w;
-
-  constexpr u32 kHeaderMask = 0b111u << 29 | 0b11u << 27;
-  constexpr u32 kT1 = 0b001u << 29 | 0b10u << 27;
-  constexpr u32 kT2 = 0b010u << 29 | 0b10u << 27;
+  // every Type-1 CRC write header together with its value words.
   size_t replaced = 0;
-  Reg last_reg = Reg::kCrc;
-  while (w < words) {
-    const size_t header_pos = w;
-    const u32 header = read_word(bytes, w++);
-    if (header == 0 || header == kNoop || header == kDummyWord) continue;
-    u32 count = 0;
-    Reg reg = last_reg;
-    if ((header & kHeaderMask) == kT1) {
-      reg = static_cast<Reg>((header >> 13) & 0x3FFFu);
-      count = header & 0x7FFu;
-      last_reg = reg;
-    } else if ((header & kHeaderMask) == kT2) {
-      count = header & 0x07FFFFFFu;
-    } else {
-      break;
-    }
-    if (w + count > words) break;
-    if (reg == Reg::kCrc && (header & kHeaderMask) == kT1 && count > 0) {
-      write_word(bytes, header_pos, 0);
-      for (u32 i = 0; i < count; ++i) write_word(bytes, w + i, 0);
+  walk_packets(bytes, [&](const Packet& p) {
+    if (p.reg == Reg::kCrc && !p.type2 && p.count > 0) {
+      for (size_t w = p.header; w < p.payload + p.count; ++w) write_word(bytes, w, 0);
       ++replaced;
     }
-    if (reg == Reg::kCmd) {
-      for (u32 i = 0; i < count; ++i) {
-        if (read_word(bytes, w + i) == static_cast<u32>(Cmd::kDesync)) return replaced;
-      }
-    }
-    w += count;
-  }
+    return true;
+  });
   return replaced;
 }
 
 bool recompute_crc(std::vector<u8>& bytes) {
-  // Re-walk the packet stream, accumulating the CRC exactly as the device
-  // does, and overwrite the value following each CRC write header.
-  const size_t words = bytes.size() / 4;
-  size_t w = 0;
-  while (w < words && read_word(bytes, w) != kSyncWord) ++w;
-  if (w == words) return false;
-  ++w;
-
-  constexpr u32 kHeaderMask = 0b111u << 29 | 0b11u << 27;
-  constexpr u32 kT1 = 0b001u << 29 | 0b10u << 27;
-  constexpr u32 kT2 = 0b010u << 29 | 0b10u << 27;
-
-  ConfigCrc crc;
-  Reg last_reg = Reg::kCrc;
+  // Overwrite every CRC write, Type 1 or Type 2, with the CRC the device
+  // accumulates up to it.
   bool patched = false;
-  while (w < words) {
-    const u32 header = read_word(bytes, w++);
-    if (header == 0 || header == kNoop || header == kDummyWord) continue;
-    u32 count = 0;
-    Reg reg = last_reg;
-    if ((header & kHeaderMask) == kT1) {
-      reg = static_cast<Reg>((header >> 13) & 0x3FFFu);
-      count = header & 0x7FFu;
-      last_reg = reg;
-    } else if ((header & kHeaderMask) == kT2) {
-      count = header & 0x07FFFFFFu;
-    } else {
-      return false;
-    }
-    if (w + count > words) return false;
-    if (reg == Reg::kCrc) {
-      for (u32 i = 0; i < count; ++i) write_word(bytes, w + i, crc.value());
+  const WalkEnd end = walk_packets(bytes, [&](const Packet& p) {
+    if (p.reg == Reg::kCrc) {
+      for (size_t w = p.payload; w < p.payload + p.count; ++w) write_word(bytes, w, p.crc);
       patched = true;
-    } else {
-      for (u32 i = 0; i < count; ++i) {
-        const u32 v = read_word(bytes, w + i);
-        crc.feed(reg, v);
-        if (reg == Reg::kCmd && v == static_cast<u32>(Cmd::kRcrc)) crc.reset();
-        if (reg == Reg::kCmd && v == static_cast<u32>(Cmd::kDesync)) return patched;
-      }
     }
-    w += count;
-  }
-  return patched;
+    return true;
+  });
+  return patched && (end == WalkEnd::kEnd || end == WalkEnd::kDesync);
 }
 
 }  // namespace sbm::bitstream

@@ -38,9 +38,6 @@ constexpr u32 from_msb_bytes(u8 b0, u8 b1, u8 b2, u8 b3) {
   return (u32{b0} << 24) | (u32{b1} << 16) | (u32{b2} << 8) | u32{b3};
 }
 
-/// Population count of a 64-bit word.
-constexpr int popcount64(u64 w) { return std::popcount(w); }
-
 /// Parity (XOR-fold) of a 32-bit word.
 constexpr u32 parity32(u32 w) { return static_cast<u32>(std::popcount(w) & 1); }
 

@@ -39,15 +39,6 @@ bool usable(const runtime::ProbeOutcome& o) {
 
 }  // namespace
 
-const char* board_state_name(BoardState s) {
-  switch (s) {
-    case BoardState::kHealthy: return "healthy";
-    case BoardState::kQuarantined: return "quarantined";
-    case BoardState::kDead: return "dead";
-  }
-  return "?";
-}
-
 FleetOracle::Board::Board(const fpga::System& system, const snow3g::Iv& iv,
                           faultsim::NoiseProfile profile, unsigned batch_width,
                           unsigned board_id)

@@ -40,8 +40,6 @@ namespace sbm::fleet {
 /// board never recovers within a campaign, a dead one never serves again).
 enum class BoardState : u8 { kHealthy = 0, kQuarantined = 1, kDead = 2 };
 
-const char* board_state_name(BoardState s);
-
 /// Per-board health ledger, updated once per observed outcome.
 struct BoardHealth {
   BoardState state = BoardState::kHealthy;

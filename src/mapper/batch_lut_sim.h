@@ -141,7 +141,6 @@ class BatchLutSimulatorT {
     clock();
   }
 
-  const LV& value_lanes(netlist::NodeId id) const { return value_[id]; }
   bool value(netlist::NodeId id, unsigned lane) const {
     return simd::get_lane(value_[id], lane);
   }

@@ -105,20 +105,9 @@ size_t FairScheduler::hint_locked() const {
       std::clamp(hint, static_cast<double>(kMinRetryMs), static_cast<double>(kMaxRetryMs)));
 }
 
-size_t FairScheduler::retry_after_ms_hint() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return hint_locked();
-}
-
 size_t FairScheduler::queued() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return queued_;
-}
-
-size_t FairScheduler::queued_for(const std::string& tenant) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? 0 : it->second.q.size();
 }
 
 bool FairScheduler::accepting() const {

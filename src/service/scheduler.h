@@ -67,11 +67,8 @@ class FairScheduler {
 
   /// Duration sample for the retry_after_ms hint (EWMA, alpha 1/4).
   void note_job_ms(double ms);
-  /// The hint a rejection issued right now would carry.
-  size_t retry_after_ms_hint() const;
 
   size_t queued() const;
-  size_t queued_for(const std::string& tenant) const;
   bool accepting() const;
 
   void drain_close();

@@ -247,7 +247,6 @@ void SocketServer::reactor() {
         if (cfd < 0) return;  // EAGAIN or transient (EMFILE): try next round
         set_nonblocking(cfd);
         conns_.emplace(cfd, Conn{});
-        connections_accepted_.fetch_add(1);
       }
     };
     if (unix_fd_ >= 0) {

@@ -67,9 +67,6 @@ class SocketServer {
   bool shutdown_requested() const { return shutdown_requested_.load(); }
   bool shutdown_drain() const { return shutdown_drain_.load(); }
 
-  /// Connections accepted over the server's lifetime (observability).
-  size_t connections_accepted() const { return connections_accepted_.load(); }
-
  private:
   struct Conn {
     std::string in;
@@ -97,7 +94,6 @@ class SocketServer {
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<bool> shutdown_drain_{true};
-  std::atomic<size_t> connections_accepted_{0};
 };
 
 }  // namespace sbm::service
